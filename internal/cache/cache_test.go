@@ -151,6 +151,7 @@ type fakePort struct {
 	pending  map[int64]func(int64)
 	rejectRd bool
 	rejectWr bool
+	version  uint64
 }
 
 func newFakePort() *fakePort { return &fakePort{pending: map[int64]func(int64){}} }
@@ -173,6 +174,10 @@ func (p *fakePort) WriteLine(line int64, stream int) bool {
 }
 
 func (p *fakePort) Promote(line int64) {}
+
+// AdmissionVersion is scripted: a test bumps version whenever it lifts a
+// rejection the hierarchy may be parked on.
+func (p *fakePort) AdmissionVersion() uint64 { return p.version }
 
 func (p *fakePort) complete(line int64) {
 	done := p.pending[line]

@@ -53,10 +53,16 @@ func MobileConfig() Config {
 // allocating a capturing closure per (re)issue. Promote upgrades an
 // in-flight prefetch read to demand priority (a core is now blocked on
 // it); it is a no-op for lines that are not in flight.
+//
+// AdmissionVersion must move whenever a request the port refused could
+// now be accepted; while it stands still, a refused ReadLine or WriteLine
+// stays refused (see Hierarchy.NextWake). A port that cannot tell may
+// return a fresh value on every call.
 type MemPort interface {
 	ReadLine(line int64, demand bool, stream int, done func(line int64)) bool
 	WriteLine(line int64, stream int) bool
 	Promote(line int64)
+	AdmissionVersion() uint64
 }
 
 // mshrEntry tracks one outstanding line fill.
@@ -126,6 +132,13 @@ type Hierarchy struct {
 	// with the memory port's state frozen, every later Tick would be the
 	// identical no-op, so the event core need not wake for it.
 	acted bool
+	// parked marks that fixed point: the last Tick only collected
+	// rejections, at port admission version parkedAt, and nothing the
+	// retries depend on has changed since. Not serialized: a restored
+	// hierarchy starts unparked, and the landed cycle a checkpoint
+	// resumes at re-parks it in its own Tick.
+	parked   bool
+	parkedAt uint64
 
 	stats Stats
 
@@ -292,9 +305,14 @@ func (h *Hierarchy) AccessTagged(core int, addr int64, write bool, tag int, done
 		if !e.demand {
 			// A demand access caught up with a prefetch: promote the
 			// in-flight request so the controller stops deprioritizing it.
+			// An unissued fill now retries as demand, which the port may
+			// admit where it refused the prefetch.
 			e.demand = true
 			e.stream = core
 			h.port.Promote(line)
+			if !e.issued {
+				h.parked = false
+			}
 		}
 		return Miss, 0
 	}
@@ -394,26 +412,52 @@ func (h *Hierarchy) Tick() {
 		keptR = append(keptR, ln)
 	}
 	h.retryQ = keptR
+	h.parked = !h.acted
+	if h.parked {
+		h.parkedAt = h.port.AdmissionVersion()
+	}
 }
 
 // NextWake returns a lower bound on the next CPU cycle at which Tick can
-// do anything, under the internal/sched contract: now+1 while anything
-// is still queued (or the last Tick made progress), Never once the
-// queues are empty - any change after that comes from fills or new
-// accesses, which occur on cycles the event loop already lands on.
+// do anything, under the internal/sched contract.
 //
-// Queued-but-rejected work must keep the hierarchy ticking every cycle
-// even though each retry looks like a fixed point: the port's acceptance
-// can change behind its back within the same landed cycle - the
-// processor runs after the hierarchy and may promote a queued prefetch
-// to demand, freeing the controller's prefetch-share admission cap - so
-// the steplock loop's retry would succeed one cycle later, on a cycle no
-// other wake term lands on.
+//   - After a Tick that made progress: now+1 (the next Tick may make more).
+//   - With empty writeback and retry queues: Never. Any later change
+//     comes from fills or new accesses, which occur on cycles the event
+//     loop already lands on.
+//   - Parked (the last Tick only collected rejections): Never while the
+//     port's admission version stands still. A refused request stays
+//     refused until the version moves, and a refused retry has no side
+//     effects, so every Tick until then is the identical no-op. Work the
+//     hierarchy itself adds while parked (a writeback or fill retry the
+//     port just refused) was refused at the current version and only
+//     joins the queue tails. What would change the outcome unparks it:
+//     a writeback cancelled out of the queue or an unissued fill
+//     promoted to demand. A fill landing unparks it too, though fills
+//     run inside the memory tick and a Tick follows on the same cycle.
+//   - Otherwise, and whenever the version has moved: now+1. The version
+//     can move after the landed cycle's Tick — the processor runs after
+//     the hierarchy and may promote a queued prefetch (freeing the
+//     controller's prefetch-share cap) or queue a write the refused read
+//     now forwards from — and the steplock loop's retry would then
+//     succeed one cycle later, on a cycle no other wake term lands on.
 func (h *Hierarchy) NextWake(now int64) int64 {
-	if h.acted || len(h.wbQueue) > 0 || len(h.retryQ) > 0 {
-		return now + 1
+	if !h.acted && len(h.wbQueue) == 0 && len(h.retryQ) == 0 {
+		return sched.Never
 	}
-	return sched.Never
+	if h.Parked() {
+		return sched.Never
+	}
+	return now + 1
+}
+
+// Parked reports whether the next Tick is provably the last one's no-op:
+// it only collected rejections, and neither the port's admission version
+// nor anything the retries depend on has changed since (see NextWake).
+// The event loop skips a parked hierarchy's Tick on the cycles other
+// domains land on; the steplock reference loop runs it regardless.
+func (h *Hierarchy) Parked() bool {
+	return h.parked && h.port.AdmissionVersion() == h.parkedAt
 }
 
 // fill handles a line arriving from memory.
@@ -423,6 +467,7 @@ func (h *Hierarchy) fill(line int64) {
 		panic(fmt.Sprintf("cache: fill for line %d without MSHR", line))
 	}
 	delete(h.mshr, line)
+	h.parked = false
 
 	h.installL2(line)
 	if !e.demand {
@@ -484,6 +529,7 @@ func (h *Hierarchy) cancelPendingWriteback(line int64) bool {
 		if l == line {
 			h.wbQueue = append(h.wbQueue[:i], h.wbQueue[i+1:]...)
 			h.stats.Writebacks--
+			h.parked = false // the writeback behind it was never offered
 			return true
 		}
 	}

@@ -36,6 +36,7 @@ func (p *ctrlPort) ReadLine(line int64, demand bool, stream int, done func(int64
 }
 func (p *ctrlPort) WriteLine(line int64, stream int) bool { return true }
 func (p *ctrlPort) Promote(line int64)                    {}
+func (p *ctrlPort) AdmissionVersion() uint64              { return 0 }
 func (p *ctrlPort) complete(line int64) {
 	done := p.pending[line]
 	delete(p.pending, line)

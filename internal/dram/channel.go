@@ -52,7 +52,8 @@ type lastBurst struct {
 // deterministic.
 type Channel struct {
 	cfg    Config
-	banks  [][][]bankState // [rank][group][bank]
+	flat   []bankState     // every bank, indexed by Geometry.BankIndex
+	banks  [][][]bankState // [rank][group][bank], views into flat
 	groups [][]groupState  // [rank][group]
 	ranks  []rankState
 
@@ -87,6 +88,7 @@ func NewChannel(cfg Config) (*Channel, error) {
 	}
 	ch := &Channel{cfg: cfg, busBusyUntil: 0, lastIssue: infinitePast}
 	g := cfg.Geometry
+	ch.flat = make([]bankState, g.Ranks*g.Banks())
 	ch.banks = make([][][]bankState, g.Ranks)
 	ch.groups = make([][]groupState, g.Ranks)
 	ch.ranks = make([]rankState, g.Ranks)
@@ -94,10 +96,8 @@ func NewChannel(cfg Config) (*Channel, error) {
 		ch.banks[r] = make([][]bankState, g.BankGroups)
 		ch.groups[r] = make([]groupState, g.BankGroups)
 		for bg := range ch.banks[r] {
-			ch.banks[r][bg] = make([]bankState, g.BanksPerGroup)
-			for b := range ch.banks[r][bg] {
-				ch.banks[r][bg][b] = bankState{nextACT: 0, nextPRE: 0, nextCAS: 0}
-			}
+			first := g.BankIndex(r, bg, 0)
+			ch.banks[r][bg] = ch.flat[first : first+g.BanksPerGroup : first+g.BanksPerGroup]
 		}
 		for i := range ch.ranks[r].faw {
 			ch.ranks[r].faw[i] = infinitePast
@@ -188,6 +188,14 @@ func (ch *Channel) Restore(r *snap.Reader) error {
 // OpenRow reports the open row of a bank, if any.
 func (ch *Channel) OpenRow(rank, group, bank int) (int, bool) {
 	b := &ch.banks[rank][group][bank]
+	return b.row, b.open
+}
+
+// OpenRowAt is OpenRow for a bank named by its Geometry.BankIndex: one
+// bounds-checked load instead of three nested slice lookups, for the
+// scheduler loops that probe every queued request.
+func (ch *Channel) OpenRowAt(bank int) (int, bool) {
+	b := &ch.flat[bank]
 	return b.row, b.open
 }
 

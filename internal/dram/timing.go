@@ -69,6 +69,11 @@ type Geometry struct {
 // Banks returns the total banks per rank.
 func (g *Geometry) Banks() int { return g.BankGroups * g.BanksPerGroup }
 
+// BankIndex flattens (rank, group, bank) into [0, Ranks*Banks()).
+func (g *Geometry) BankIndex(rank, group, bank int) int {
+	return (rank*g.BankGroups+group)*g.BanksPerGroup + bank
+}
+
 // LinesPerPage returns the column commands a row buffer can serve.
 func (g *Geometry) LinesPerPage() int { return g.PageBytes / g.LineBytes }
 

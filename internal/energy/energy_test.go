@@ -184,3 +184,27 @@ func TestHybridCodecCosts(t *testing.T) {
 		t.Fatalf("hybrid encoder power %v not between the halves", c.Enc.PowerMW)
 	}
 }
+
+// TestDRAMEnergyCodecSumIsOrderFree: with three or more coded codecs the
+// per-codec terms must be summed in a fixed order — float addition does
+// not commute across three terms, and map order varies from call to call.
+func TestDRAMEnergyCodecSumIsOrderFree(t *testing.T) {
+	s := syntheticStats()
+	s.CodecBursts["milc"] = 3938
+	s.CodecBursts["lwc3"] = 2321
+	s.CodecBursts["hybrid"] = 4759
+	s.CodecBursts["cafo2"] = 1149
+	first, err := DRAMEnergy(DDR4Power(), dram.DDR4_3200(), 2, s, 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		b, err := DRAMEnergy(DDR4Power(), dram.DDR4_3200(), 2, s, 100000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Codec != first.Codec {
+			t.Fatalf("codec energy %v on call %d, %v on the first", b.Codec, i, first.Codec)
+		}
+	}
+}

@@ -171,10 +171,20 @@ type Controller struct {
 	acted     bool    // last Tick did observable work (event-core fast path)
 	idleRun   int     // consecutive no-op Ticks since the last acting one
 	wake      int64   // memoized NextWake scan result ...
-	wakeValid bool    // ... valid until an enqueue or an acting Tick
+	wakeValid bool    // ... valid until an accepted enqueue, a promote, or an acting Tick
 	banksTmp  []int64 // scratch per-pass per-bank visited stamps
 	bankStamp int64   // current stamp; bumped once per pass
+	casTmp    []int64 // scratch per-pass per-bank "row-hit CAS not ready" stamps
+	casStamp  int64   // current stamp; bumped once per ready-hit pass
 	id        int     // channel index, for trace output
+
+	// prefetches counts the non-demand reads in rq, so the prefetch-share
+	// admission check is O(1). Enqueue, dequeueRead, and Promote keep it
+	// in step; Restore rebuilds it.
+	prefetches int
+	// admitVer is bumped whenever a previously refused Enqueue could now
+	// succeed (see AdmissionVersion).
+	admitVer uint64
 
 	// la and colBlk are per-issue scratch, hoisted so the Lookahead box
 	// and the transferred cache line never escape to the heap (the column
@@ -246,13 +256,15 @@ func NewController(cfg Config, mem Memory, policy Policy, phy Phy) (*Controller,
 	if err != nil {
 		return nil, err
 	}
+	banks := cfg.DRAM.Geometry.Ranks * cfg.DRAM.Geometry.Banks()
 	c := &Controller{
 		cfg: cfg, ch: ch, mem: mem, policy: policy, phy: phy,
 		refDue:     make([]int64, cfg.DRAM.Geometry.Ranks),
 		refPending: make([]bool, cfg.DRAM.Geometry.Ranks),
 		pd:         make([]rankPD, cfg.DRAM.Geometry.Ranks),
 		stats:      NewStats(),
-		banksTmp:   make([]int64, cfg.DRAM.Geometry.Ranks*cfg.DRAM.Geometry.BankGroups*cfg.DRAM.Geometry.BanksPerGroup),
+		banksTmp:   make([]int64, banks),
+		casTmp:     make([]int64, banks),
 		// Queues and in-flight tracking are preallocated to their
 		// steady-state bounds so the tick path (and the replay driver
 		// built on it) never grows them mid-run.
@@ -297,14 +309,15 @@ func (c *Controller) Pending() bool {
 // Enqueue admits a request, returning false when the target queue is full.
 // Reads that hit a queued write are served by forwarding and complete on
 // the next cycle without a DRAM access; writes to an already-queued line
-// coalesce in place.
+// coalesce in place. A refused request leaves the controller untouched:
+// it can only be admitted after AdmissionVersion moves.
 func (c *Controller) Enqueue(req *Request, now int64) bool {
-	c.wakeValid = false // any arrival can create nearer work
 	if req.Write {
 		for _, w := range c.wq {
 			if w.Line == req.Line {
 				w.Data = req.Data // coalesce
 				c.deferred = append(c.deferred, inflightRead{req: req, done: now + 1})
+				c.wakeValid = false
 				return true
 			}
 		}
@@ -312,7 +325,10 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 			return false
 		}
 		req.Arrive = now
+		req.bank = int32(c.bankIndex(req))
 		c.wq = append(c.wq, req)
+		c.wakeValid = false
+		c.admitVer++ // a refused read of this line can now forward
 		if c.obs != nil {
 			c.obs.wqPeak.Max(int64(len(c.wq)))
 		}
@@ -325,6 +341,7 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 			// completion inside Enqueue would fire the caller's callback
 			// before the caller has even recorded the request as pending.
 			c.deferred = append(c.deferred, inflightRead{req: req, done: now + 1})
+			c.wakeValid = false
 			return true
 		}
 	}
@@ -333,23 +350,69 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 	}
 	// Prefetches are admitted only up to a fixed share of the queue so
 	// they cannot crowd out (or add queueing delay to) demand misses.
-	if !req.Demand {
-		pf := 0
-		for _, r := range c.rq {
-			if !r.Demand {
-				pf++
-			}
-		}
-		if pf >= c.cfg.ReadQueue/4 {
-			return false
-		}
+	if !req.Demand && c.prefetches >= c.cfg.ReadQueue/4 {
+		return false
 	}
 	req.Arrive = now
+	req.bank = int32(c.bankIndex(req))
+	req.queued = true
+	if !req.Demand {
+		c.prefetches++
+	}
 	c.rq = append(c.rq, req)
+	c.wakeValid = false
 	if c.obs != nil {
 		c.obs.rqPeak.Max(int64(len(c.rq)))
 	}
 	return true
+}
+
+// Promote raises a read to demand priority. For a read waiting in this
+// controller's queue it frees a prefetch-share slot, so the admission
+// version moves, and it can change the scheduler's bank shadowing, so
+// the wake memo is dropped. Reads already issued (or never admitted)
+// only change their own flag. Callers must not write Request.Demand
+// directly once the request has been offered to Enqueue.
+func (c *Controller) Promote(req *Request) {
+	if req.Demand {
+		return
+	}
+	req.Demand = true
+	if req.queued {
+		c.prefetches--
+		c.admitVer++
+		c.wakeValid = false
+	}
+}
+
+// AdmissionVersion counts the events after which a previously refused
+// Enqueue could succeed: a read or write leaving its queue, a write
+// joining the write queue (a refused read of that line now forwards),
+// and a queued read's promotion (a freed prefetch-share slot). While it
+// stands still, every refused request stays refused.
+func (c *Controller) AdmissionVersion() uint64 { return c.admitVer }
+
+// bankIndex names the request's bank in the flat per-channel tables (the
+// device's OpenRowAt and the scheduler's per-bank stamps).
+func (c *Controller) bankIndex(req *Request) int {
+	return c.cfg.DRAM.Geometry.BankIndex(req.loc.Rank, req.loc.Group, req.loc.Bank)
+}
+
+// dequeueRead removes rq[idx] (issued or abandoned).
+func (c *Controller) dequeueRead(idx int) {
+	req := c.rq[idx]
+	req.queued = false
+	if !req.Demand {
+		c.prefetches--
+	}
+	c.rq = removeAt(c.rq, idx)
+	c.admitVer++
+}
+
+// dequeueWrite removes wq[idx] (written or abandoned).
+func (c *Controller) dequeueWrite(idx int) {
+	c.wq = removeAt(c.wq, idx)
+	c.admitVer++
 }
 
 // Tick advances the controller one DRAM cycle: completes arrived reads,
@@ -421,23 +484,36 @@ func (c *Controller) completeReads(now int64) bool {
 	}
 	c.inflight = kept
 
-	keptD := c.deferred[:0]
-	for _, f := range c.deferred {
+	// A completion callback may enqueue, and a write coalescing into the
+	// write queue appends to deferred mid-walk; walking by index through
+	// the live slice keeps such entries instead of dropping them.
+	n := 0
+	for i := 0; i < len(c.deferred); i++ {
+		f := c.deferred[i]
 		if f.done <= now {
 			c.fireDone(f.req, now)
 			completed = true
-		} else {
-			keptD = append(keptD, f)
+			continue
 		}
+		c.deferred[n] = f
+		n++
 	}
-	c.deferred = keptD
+	c.deferred = c.deferred[:n]
 	return completed
 }
 
-// rankBlocked reports whether new activity should avoid a rank because a
-// refresh is trying to drain it or it is powered down / waking up.
-func (c *Controller) rankBlocked(rank int) bool {
-	return c.refPending[rank] || c.pd[rank].down || c.pd[rank].wakeAt > c.now
+// blockedRanks returns the mask of ranks new activity should avoid this
+// cycle because a refresh is trying to drain them or they are powered
+// down / waking up. The scheduler computes it once per cycle: nothing in
+// a scheduling pass changes it.
+func (c *Controller) blockedRanks() uint32 {
+	var m uint32
+	for r := range c.pd {
+		if c.refPending[r] || c.pd[r].down || c.pd[r].wakeAt > c.now {
+			m |= 1 << r
+		}
+	}
+	return m
 }
 
 // powerDownTick advances the power-down state machine: a rank with nothing
@@ -568,11 +644,17 @@ func (c *Controller) schedule(now int64) bool {
 		return false
 	}
 
+	// One ready-hit scan serves every column pass below: nothing is issued
+	// between the passes, so device state and the scan's answers stand.
+	blocked := c.blockedRanks()
+	demandHit, prefetchHit := c.readyHits(active, write, now, blocked)
 	if write {
-		if c.readyHitPass(active, true, now, keepAll) {
+		// Writes form a single class: the oldest ready hit of either.
+		if hit := oldestOf(demandHit, prefetchHit); hit >= 0 {
+			c.issueColumn(active[hit], hit, true, now)
 			return true
 		}
-		return c.fcfsPass(active, now, keepAll)
+		return c.fcfsPass(active, now, blocked, keepAll)
 	}
 	// Demand reads outrank prefetches. Normally prefetch row hits may still
 	// slip in ahead of demand ACT/PRE work (they keep the streams timely),
@@ -586,25 +668,21 @@ func (c *Controller) schedule(now int64) bool {
 			break
 		}
 	}
-	if c.readyHitPass(active, false, now, keepDemand) {
+	if demandHit >= 0 {
+		c.issueColumn(active[demandHit], demandHit, false, now)
 		return true
 	}
-	if demandFirst {
-		if c.fcfsPass(active, now, keepDemand) {
-			return true
-		}
-		if c.readyHitPass(active, false, now, keepPrefetch) {
-			return true
-		}
-	} else {
-		if c.readyHitPass(active, false, now, keepPrefetch) {
-			return true
-		}
-		if c.fcfsPass(active, now, keepDemand) {
-			return true
-		}
+	if demandFirst && c.fcfsPass(active, now, blocked, keepDemand) {
+		return true
 	}
-	return c.fcfsPass(active, now, keepPrefetch)
+	if prefetchHit >= 0 {
+		c.issueColumn(active[prefetchHit], prefetchHit, false, now)
+		return true
+	}
+	if !demandFirst && c.fcfsPass(active, now, blocked, keepDemand) {
+		return true
+	}
+	return c.fcfsPass(active, now, blocked, keepPrefetch)
 }
 
 // candidate filters for the scheduler passes; a small enum instead of a
@@ -621,44 +699,66 @@ func skipReq(keep int, req *Request) bool {
 	return (keep == keepDemand && !req.Demand) || (keep == keepPrefetch && req.Demand)
 }
 
-// readyHitPass issues the oldest matching column command whose row is open
-// and whose constraints are met right now. keep filters candidates.
-func (c *Controller) readyHitPass(active []*Request, write bool, now int64, keep int) bool {
+// readyHits scans active oldest-first for requests whose column command
+// could issue right now (rank not in blocked, row open, constraints met),
+// and returns the oldest such demand request and the oldest such
+// prefetch, -1 for none. The scan stops at the first ready demand hit:
+// nothing younger outranks it, and the prefetch it reports is then only
+// meaningful as "older".
+//
+// Every row hit in one bank builds the identical CAS probe, and no other
+// request to that bank is a hit, so once a bank's probe is not ready the
+// rest of the bank's requests are skipped.
+func (c *Controller) readyHits(active []*Request, write bool, now int64, blocked uint32) (demand, prefetch int) {
+	prefetch = -1
+	c.casStamp++
 	for i, req := range active {
-		if skipReq(keep, req) {
+		if prefetch >= 0 && !req.Demand {
+			continue // an older prefetch hit already stands
+		}
+		if req.retryAt > now || blocked>>req.loc.Rank&1 != 0 || c.casTmp[req.bank] == c.casStamp {
 			continue
 		}
-		if req.retryAt > now || c.rankBlocked(req.loc.Rank) {
+		if row, open := c.ch.OpenRowAt(int(req.bank)); !open || row != req.loc.Row {
 			continue
 		}
-		if row, open := c.ch.OpenRow(req.loc.Rank, req.loc.Group, req.loc.Bank); open && row == req.loc.Row {
-			if c.ch.EarliestIssue(c.probeCAS(req, write), now) == now {
-				c.issueColumn(req, i, write, now)
-				return true
-			}
+		if c.ch.EarliestIssue(c.probeCAS(req, write), now) != now {
+			c.casTmp[req.bank] = c.casStamp
+			continue
 		}
+		if req.Demand {
+			return i, prefetch
+		}
+		prefetch = i
 	}
-	return false
+	return -1, prefetch
+}
+
+// oldestOf returns the smaller of two queue indices, ignoring -1.
+func oldestOf(a, b int) int {
+	if a < 0 || (b >= 0 && b < a) {
+		return b
+	}
+	return a
 }
 
 // fcfsPass walks oldest-first issuing the ACT or PRE the request needs, at
 // most one action per bank so a younger conflict cannot close a row an
-// older request still needs.
-func (c *Controller) fcfsPass(active []*Request, now int64, keep int) bool {
+// older request still needs. Ranks in blocked are skipped.
+func (c *Controller) fcfsPass(active []*Request, now int64, blocked uint32, keep int) bool {
 	c.bankStamp++
 	for _, req := range active {
 		if skipReq(keep, req) {
 			continue
 		}
-		bankID := (req.loc.Rank*c.cfg.DRAM.Geometry.BankGroups+req.loc.Group)*c.cfg.DRAM.Geometry.BanksPerGroup + req.loc.Bank
-		if c.banksTmp[bankID] == c.bankStamp {
+		if c.banksTmp[req.bank] == c.bankStamp {
 			continue
 		}
-		c.banksTmp[bankID] = c.bankStamp
-		if req.retryAt > now || c.rankBlocked(req.loc.Rank) {
+		c.banksTmp[req.bank] = c.bankStamp
+		if req.retryAt > now || blocked>>req.loc.Rank&1 != 0 {
 			continue
 		}
-		row, open := c.ch.OpenRow(req.loc.Rank, req.loc.Group, req.loc.Bank)
+		row, open := c.ch.OpenRowAt(int(req.bank))
 		switch {
 		case open && row == req.loc.Row:
 			// A hit that was not ready in the first pass; nothing to do.
@@ -713,7 +813,7 @@ func (l lookahead) ColumnReadyWithin(x int) int {
 			if req.retryAt > l.now {
 				continue // backing off; cannot become ready in the window
 			}
-			row, open := l.c.ch.OpenRow(req.loc.Rank, req.loc.Group, req.loc.Bank)
+			row, open := l.c.ch.OpenRowAt(int(req.bank))
 			if !open || row != req.loc.Row {
 				continue
 			}
@@ -870,10 +970,10 @@ func (c *Controller) issueColumn(req *Request, idx int, write bool, now int64) {
 		// (silent corruption is stored, exactly as in hardware).
 		c.mem.WriteLine(req.Line, res.Arrived)
 		c.stats.WritesCompleted++
-		c.wq = removeAt(c.wq, idx)
+		c.dequeueWrite(idx)
 		c.fireDone(req, now)
 	} else {
-		c.rq = removeAt(c.rq, idx)
+		c.dequeueRead(idx)
 		c.inflight = append(c.inflight, inflightRead{req: req, done: info.Window.End})
 	}
 	c.epochTick(now)
@@ -916,7 +1016,7 @@ func (c *Controller) handleFailure(req *Request, idx int, write bool, res *PhyRe
 		}
 		if write {
 			c.stats.WritesCompleted++
-			c.wq = removeAt(c.wq, idx)
+			c.dequeueWrite(idx)
 		} else {
 			c.stats.ReadsCompleted++
 			c.stats.ReadLatencySum += c.now - req.Arrive
@@ -924,7 +1024,7 @@ func (c *Controller) handleFailure(req *Request, idx int, write bool, res *PhyRe
 				c.stats.DemandLatencySum += c.now - req.Arrive
 				c.stats.DemandReadsCompleted++
 			}
-			c.rq = removeAt(c.rq, idx)
+			c.dequeueRead(idx)
 		}
 		c.fireDone(req, c.now)
 		return

@@ -18,7 +18,9 @@ type Request struct {
 	// the only Tag user (replay) cannot combine with checkpointing.
 	Tag    int
 	loc    Location
-	mapped bool // loc computed (requests are re-enqueued on backpressure)
+	mapped bool  // loc computed (requests are re-enqueued on backpressure)
+	queued bool  // waiting in a controller's read queue (see Controller.Promote)
+	bank   int32 // loc's flat bank index, set when a queue admits the request
 
 	retries int   // failed link transfers replayed so far
 	retryAt int64 // ineligible for scheduling before this cycle (backoff)

@@ -260,8 +260,10 @@ func (p *BIWirePhy) Restore(r *snap.Reader) error {
 // refresh and power-down machines, scheduler mode, statistics, the wake
 // memo (a fresh post-restore scan could land on different cycles and
 // change the loop statistics), the device timing state, and the phy. The
-// scheduler scratch (banksTmp/bankStamp) is excluded: every FCFS pass
-// starts by bumping the stamp, so zeroed scratch is equivalent.
+// scheduler scratch (banksTmp/bankStamp, casTmp/casStamp) is excluded:
+// every pass starts by bumping its stamp, so zeroed scratch is
+// equivalent. So is the state derived from the queues (the prefetch
+// count, the queued flags, the bank indices), which Restore rebuilds.
 func (c *Controller) Snapshot(w *snap.Writer) {
 	snapQueue := func(reqs []*Request) {
 		w.Len(len(reqs))
@@ -355,6 +357,19 @@ func (c *Controller) Restore(r *snap.Reader) error {
 	}
 	c.rq = restoreQueue()
 	c.wq = restoreQueue()
+	// The queued flags, bank indices, and prefetch count are derived
+	// from the queues.
+	c.prefetches = 0
+	for _, req := range c.rq {
+		req.queued = true
+		req.bank = int32(c.bankIndex(req))
+		if !req.Demand {
+			c.prefetches++
+		}
+	}
+	for _, req := range c.wq {
+		req.bank = int32(c.bankIndex(req))
+	}
 	c.writeMode = r.Bool()
 	refDue := r.I64s()
 	nrp := r.Len()
@@ -424,8 +439,9 @@ func (c *Controller) Restore(r *snap.Reader) error {
 	}
 	for i := range c.banksTmp {
 		c.banksTmp[i] = 0
+		c.casTmp[i] = 0
 	}
-	c.bankStamp = 0
+	c.bankStamp, c.casStamp = 0, 0
 	if err := c.ch.Restore(r); err != nil {
 		return err
 	}

@@ -70,6 +70,21 @@ func (s *System) Enqueue(req *Request, now int64) bool {
 	return s.ctrls[req.loc.Channel].Enqueue(req, now)
 }
 
+// Promote raises a read to demand priority through its channel's
+// controller (see Controller.Promote).
+func (s *System) Promote(req *Request) { s.ctrls[req.loc.Channel].Promote(req) }
+
+// AdmissionVersion sums the channels' admission versions (see
+// Controller.AdmissionVersion): it moves exactly when some channel could
+// now admit a request it refused before.
+func (s *System) AdmissionVersion() uint64 {
+	var v uint64
+	for _, c := range s.ctrls {
+		v += c.admitVer
+	}
+	return v
+}
+
 // Tick advances every channel one DRAM cycle.
 func (s *System) Tick(now int64) {
 	for _, c := range s.ctrls {

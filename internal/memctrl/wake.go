@@ -175,10 +175,10 @@ func (c *Controller) scheduleWake() int64 {
 	}
 
 	w := sched.Never
-	// Column candidates: every request whose row is open (readyHitPass has
-	// no per-bank shadowing).
+	// Column candidates: every request whose row is open (readyHits claims
+	// no banks; it only skips banks whose probe is not ready this cycle).
 	for _, req := range active {
-		row, open := c.ch.OpenRow(req.loc.Rank, req.loc.Group, req.loc.Bank)
+		row, open := c.ch.OpenRowAt(int(req.bank))
 		if !open || row != req.loc.Row {
 			continue
 		}
@@ -218,16 +218,15 @@ func (c *Controller) fcfsWake(active []*Request, keep int) int64 {
 		if skipReq(keep, req) {
 			continue
 		}
-		bankID := (req.loc.Rank*c.cfg.DRAM.Geometry.BankGroups+req.loc.Group)*c.cfg.DRAM.Geometry.BanksPerGroup + req.loc.Bank
-		if c.banksTmp[bankID] == c.bankStamp {
+		if c.banksTmp[req.bank] == c.bankStamp {
 			continue
 		}
-		c.banksTmp[bankID] = c.bankStamp
+		c.banksTmp[req.bank] = c.bankStamp
 		from, ok := c.reqEligible(req)
 		if !ok {
 			continue
 		}
-		row, open := c.ch.OpenRow(req.loc.Rank, req.loc.Group, req.loc.Bank)
+		row, open := c.ch.OpenRowAt(int(req.bank))
 		switch {
 		case open && row == req.loc.Row:
 			// Ready hit: covered by the column-candidate scan.

@@ -136,6 +136,52 @@ func TestCheckpointResumeMatrix(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeSaturated extends the matrix to cells whose
+// controller queues run full and whose hierarchy parks on refused retries
+// (DESIGN.md §5.15): the parked state is not serialized, so the resumed
+// run must re-derive it on its first landed cycle without moving a
+// single counter, the loop's included.
+func TestCheckpointResumeSaturated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential sweep is slow")
+	}
+	if raceEnabled {
+		t.Skip("equivalence coverage; the matrix keeps the harness raced")
+	}
+	cells := []struct {
+		bench string
+		ops   int64
+	}{
+		{"HISTOGRAM", 400},
+		{"CG", 1200},
+	}
+	for _, c := range cells {
+		for _, scheme := range []string{"baseline", "mil"} {
+			for _, steplock := range []bool{false, true} {
+				loop := "event"
+				if steplock {
+					loop = "steplock"
+				}
+				t.Run(fmt.Sprintf("%s/%s/%s", c.bench, scheme, loop), func(t *testing.T) {
+					t.Parallel()
+					b, err := workload.ByName(c.bench)
+					if err != nil {
+						t.Fatal(err)
+					}
+					full, resumed, csvA, csvB := runCheckpointed(t, Config{
+						System: Server, Scheme: scheme, Benchmark: b,
+						MemOpsPerThread: c.ops, Seed: 1, Steplock: steplock,
+					})
+					if full.Mem.Writes == 0 {
+						t.Fatal("no write reached the bus; test exercises nothing")
+					}
+					requireResumeIdentical(t, full, resumed, csvA, csvB)
+				})
+			}
+		}
+	}
+}
+
 // TestCheckpointResumeRetry covers the DDR4 write-CRC/CA-parity
 // NACK-replay path: in-flight retry counters, backoff deadlines, and the
 // storm detector all have to cross the suspend intact.

@@ -110,6 +110,7 @@ type replayDriver struct {
 	events []trace.Event
 	reqs   []memctrl.Request // one preallocated request per event, indexed by event
 	prom   []int32           // Promote events: target ReadAccept event index, or -1
+	kids   []int32           // ReadAccept events: first child event index, or -1 (see trace.Event.Parent)
 
 	// First divergence, recorded as raw facts; see err().
 	divKind  int
@@ -130,13 +131,25 @@ func newReplayDriver(memSys *memctrl.System, tr *trace.Trace) *replayDriver {
 		reqs:     make([]memctrl.Request, len(tr.Events)),
 		divEvent: -1,
 	}
-	nProm, nRead := 0, 0
+	nProm, nRead, hasKids := 0, 0, false
 	for i := range d.events {
 		switch d.events[i].Kind {
 		case trace.Promote:
 			nProm++
 		case trace.ReadAccept:
 			nRead++
+		}
+		hasKids = hasKids || d.events[i].Parent != 0
+	}
+	if hasKids {
+		d.kids = make([]int32, len(d.events))
+		for i := range d.kids {
+			d.kids[i] = -1
+		}
+		for i := len(d.events) - 1; i >= 0; i-- {
+			if p := d.events[i].Parent; p != 0 {
+				d.kids[p-1] = int32(i)
+			}
 		}
 	}
 	if nProm > 0 {
@@ -161,10 +174,19 @@ func newReplayDriver(memSys *memctrl.System, tr *trace.Trace) *replayDriver {
 
 // onDone is the channel-wide completion hook: one integer compare per
 // completion against the recorded cycle, with the event identity carried in
-// Request.Tag (no per-request closure, no allocation).
+// Request.Tag (no per-request closure, no allocation). It then applies the
+// events the recorded completion produced (the fill's writebacks), at the
+// same point inside the controller tick where the recorded run enqueued
+// them.
 func (d *replayDriver) onDone(req *memctrl.Request, now int64) {
 	if now != d.events[req.Tag].DoneAt {
 		d.setDiv(divCompletion, req.Tag, now)
+	}
+	if d.kids == nil {
+		return
+	}
+	for k := int(d.kids[req.Tag]); k >= 0 && k < len(d.events) && int(d.events[k].Parent) == req.Tag+1; k++ {
+		d.enqueue(k)
 	}
 }
 
@@ -174,10 +196,18 @@ func (d *replayDriver) setDiv(kind, event int, at int64) {
 	}
 }
 
-// apply enqueues event i. The request is rebuilt in place in the
-// preallocated slot (a full struct assignment, so no controller-side state
-// from a previous use leaks through).
+// apply enqueues event i from the main cursor, after its clock's tick.
+// Events with a parent were already applied from the parent's completion.
 func (d *replayDriver) apply(i int) {
+	if d.events[i].Parent == 0 {
+		d.enqueue(i)
+	}
+}
+
+// enqueue offers event i to the memory system. The request is rebuilt in
+// place in the preallocated slot (a full struct assignment, so no
+// controller-side state from a previous use leaks through).
+func (d *replayDriver) enqueue(i int) {
 	e := &d.events[i]
 	switch e.Kind {
 	case trace.ReadAccept:
@@ -194,7 +224,7 @@ func (d *replayDriver) apply(i int) {
 		}
 	case trace.Promote:
 		if t := d.prom[i]; t >= 0 {
-			d.reqs[t].Demand = true
+			d.memSys.Promote(&d.reqs[t])
 		} else {
 			d.setDiv(divNoRead, i, e.Clock)
 		}
@@ -230,7 +260,10 @@ func (d *replayDriver) err() error {
 //     current one — so the driver starts with a real Tick(0).
 //   - In a recorded run, every request accepted at DRAM cycle d was
 //     enqueued after the controller covered d and before it covered d+1,
-//     so events apply immediately after the driver lands on their clock.
+//     so events apply immediately after the driver lands on their clock —
+//     except the events a read completion produced inside the tick (the
+//     fill's writebacks, trace.Event.Parent), which the completion hook
+//     applies at that same point of the replayed tick.
 //   - Between event clocks the driver follows memSys.NextWake: refreshes,
 //     power-down transitions, and scheduled issues come due between
 //     requests and must tick exactly as in the recorded run. NextWake's

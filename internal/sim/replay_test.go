@@ -116,6 +116,57 @@ func TestReplayEquivalenceMatrix(t *testing.T) {
 	}
 }
 
+// TestReplayOfWritesIsExact covers traces that carry write traffic. A read
+// completing inside the controller tick fills the cache, and the fill can
+// evict a dirty line whose writeback enters the write queue mid-tick,
+// before that cycle's schedule and occupancy count; replay must enqueue it
+// at the same point (trace.Event.Parent), not after the tick. Server
+// HISTOGRAM at 200 ops used to replay with silently different write-queue
+// occupancy; the mobile cells used to trip the completion fence.
+func TestReplayOfWritesIsExact(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential sweep is slow")
+	}
+	cells := []struct {
+		system SystemKind
+		bench  string
+		ops    int64
+	}{
+		{Server, "HISTOGRAM", 200},
+		{Mobile, "HISTOGRAM", 800},
+		{Mobile, "CG", 3000},
+	}
+	if raceEnabled {
+		cells = cells[:1]
+	}
+	for _, c := range cells {
+		for _, scheme := range []string{"baseline", "mil"} {
+			t.Run(fmt.Sprintf("%s/%s/%d/%s", c.system, c.bench, c.ops, scheme), func(t *testing.T) {
+				t.Parallel()
+				b, err := workload.ByName(c.bench)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := Config{System: c.system, Scheme: scheme, Benchmark: b, MemOpsPerThread: c.ops, Seed: 1}
+				recorded, tr := record(t, cfg)
+				if recorded.Mem.Writes == 0 {
+					t.Fatal("no write reached the bus; test exercises nothing")
+				}
+				mid := 0
+				for i := range tr.Events {
+					if tr.Events[i].Parent != 0 {
+						mid++
+					}
+				}
+				if mid == 0 {
+					t.Fatal("no mid-tick writeback recorded; test exercises nothing")
+				}
+				requireSameResult(t, recorded, replay(t, cfg, tr), "write-carrying replay")
+			})
+		}
+	}
+}
+
 // TestReplayMetricsCSV holds the observability side of the replay contract:
 // a replayed cell with a metrics registry attached must produce the same
 // snapshot as a fully simulated one, except the wake_scan_* counters — the

@@ -229,30 +229,37 @@ type memPort struct {
 // by the hierarchy until accepted, and replay re-creates only the accept.
 type recorder struct {
 	events []trace.Event
+	// parent is 1 + the index of the read whose completion callback is
+	// running, 0 outside one. An event recorded inside it (a writeback of
+	// a line the fill evicted) entered the controller mid-tick.
+	parent int32
 }
 
 // accept records an accepted request — priority as merged at acceptance,
 // write data as carried by the request — and wraps its completion callback
-// so the completion cycle lands in the same event. The wrap is
-// behavior-neutral: the original callback (nil for writes) still runs.
+// so the completion cycle lands in the same event and events the callback
+// produces are tied to it. The wrap is behavior-neutral: the original
+// callback (nil for writes) still runs.
 func (r *recorder) accept(req *memctrl.Request, kind trace.Kind, now int64) {
 	idx := len(r.events)
 	r.events = append(r.events, trace.Event{
 		Kind: kind, Clock: now, Line: req.Line, Stream: req.Stream,
-		Demand: req.Demand, Data: req.Data,
+		Demand: req.Demand, Data: req.Data, Parent: r.parent,
 	})
 	orig := req.OnDone
 	req.OnDone = func(done int64) {
 		r.events[idx].DoneAt = done
 		if orig != nil {
+			r.parent = int32(idx + 1)
 			orig(done)
+			r.parent = 0
 		}
 	}
 }
 
 // promote records a demand promotion of an in-flight read.
 func (r *recorder) promote(line, now int64) {
-	r.events = append(r.events, trace.Event{Kind: trace.Promote, Clock: now, Line: line})
+	r.events = append(r.events, trace.Event{Kind: trace.Promote, Clock: now, Line: line, Parent: r.parent})
 }
 
 func newMemPort(sys *memctrl.System, bench *workload.Benchmark) *memPort {
@@ -299,12 +306,15 @@ func (p *memPort) Promote(line int64) {
 		if !req.Demand && p.rec != nil {
 			p.rec.promote(line, p.dramNow)
 		}
-		req.Demand = true
+		p.sys.Promote(req)
 	}
 	if req := p.pendingRd[line]; req != nil {
-		req.Demand = true
+		p.sys.Promote(req)
 	}
 }
+
+// AdmissionVersion implements cache.MemPort.
+func (p *memPort) AdmissionVersion() uint64 { return p.sys.AdmissionVersion() }
 
 // WriteLine implements cache.MemPort.
 func (p *memPort) WriteLine(line int64, stream int) bool {
@@ -605,7 +615,11 @@ func Run(cfg Config) (*Result, error) {
 				memSys.SkipUntil(d)
 				port.dramNow = d
 			}
-			hier.Tick()
+			// A parked hierarchy's retries would all be refused again
+			// (DESIGN.md §5.15); the steplock loop runs them anyway.
+			if !hier.Parked() {
+				hier.Tick()
+			}
 			proc.Tick(cpuNow)
 			if proc.Done() && !hier.Pending() && !memSys.Pending() {
 				break

@@ -103,6 +103,48 @@ func TestEventLoopMatchesSteplock(t *testing.T) {
 	}
 }
 
+// TestEventLoopMatchesSteplockSaturated covers the cells where the
+// controller queues run full and the cache hierarchy parks on refused
+// retries (DESIGN.md §5.15): server HISTOGRAM and CG keep the read queue
+// saturated and put writebacks on the bus.
+func TestEventLoopMatchesSteplockSaturated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("differential sweep is slow")
+	}
+	if raceEnabled {
+		t.Skip("single-threaded loop-mode differential; nothing to race")
+	}
+	cells := []struct {
+		bench string
+		ops   int64
+	}{
+		{"HISTOGRAM", 400},
+		{"CG", 1200},
+	}
+	for _, c := range cells {
+		for _, scheme := range []string{"baseline", "mil"} {
+			for _, seed := range []uint64{0, 42} {
+				name := fmt.Sprintf("%s/%s/seed%d", c.bench, scheme, seed)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					b, err := workload.ByName(c.bench)
+					if err != nil {
+						t.Fatal(err)
+					}
+					step, event := runBoth(t, Config{
+						System: Server, Scheme: scheme, Benchmark: b,
+						MemOpsPerThread: c.ops, Seed: seed,
+					})
+					if event.Mem.Writes == 0 {
+						t.Fatal("no write reached the bus; test exercises nothing")
+					}
+					requireIdentical(t, step, event)
+				})
+			}
+		}
+	}
+}
+
 // TestEventLoopMatchesSteplockPowerDown covers the power-down state
 // machine: entry after the idle threshold, exit latency, and the
 // residency accounting all have skip paths of their own.

@@ -28,8 +28,8 @@ import (
 )
 
 // Version is the trace format version. Bump it on ANY change to the
-// payload layout; decode rejects mismatches.
-const Version uint32 = 1
+// payload layout; decode rejects mismatches. Version 2 added Event.Parent.
+const Version uint32 = 2
 
 // container frames trace files: MILTRACE magic, trace format version, the
 // recording configuration's front-end hash, CRC-32 trailer.
@@ -59,6 +59,14 @@ const (
 // Event is one boundary crossing.
 type Event struct {
 	Kind Kind
+	// Parent is 1 + the index of the read whose completion callback
+	// produced this event, or 0. A read completes inside the controller
+	// tick, and the cache fill it triggers can evict a dirty line whose
+	// writeback enters a controller mid-tick — before that cycle's
+	// schedule and occupancy count — so replay applies such an event from
+	// its parent's completion, not after the tick like every other event.
+	// (An int32 beside Kind, so in memory it fits the padding after Kind.)
+	Parent int32
 	// Clock is the DRAM cycle at which the controller accepted (or, for
 	// Promote, observed) the event.
 	Clock int64
@@ -132,6 +140,7 @@ func (t *Trace) payload() []byte {
 		w.I64(e.Clock)
 		w.I64(e.Line)
 		w.Int(e.Stream)
+		w.U32(uint32(e.Parent))
 		switch e.Kind {
 		case ReadAccept:
 			w.Bool(e.Demand)
@@ -179,6 +188,7 @@ func Decode(data []byte, frontEndHash uint64) (*Trace, error) {
 		e.Clock = r.I64()
 		e.Line = r.I64()
 		e.Stream = r.Int()
+		e.Parent = int32(r.U32())
 		switch e.Kind {
 		case ReadAccept:
 			e.Demand = r.Bool()
@@ -212,6 +222,7 @@ func (t *Trace) validate() error {
 			t.EventsFired, t.CyclesSkipped, t.CPUCycles)
 	}
 	prev := int64(0)
+	var started map[int32]bool // parents whose run of children has begun
 	for i := range t.Events {
 		e := &t.Events[i]
 		if e.Clock < prev {
@@ -228,8 +239,32 @@ func (t *Trace) validate() error {
 					i, e.DoneAt, e.Clock, t.DRAMCycles)
 			}
 		}
+		if e.Parent == 0 {
+			continue
+		}
+		// One completion callback's events are recorded back to back, and
+		// replay applies them by scanning forward from the first, so a
+		// parent's children must be contiguous.
+		if p := int(e.Parent) - 1; p >= i || !t.completesAt(p, e.Clock) {
+			return fmt.Errorf("trace: event %d at cycle %d: parent %d is not an earlier read completing then",
+				i, e.Clock, p)
+		}
+		if t.Events[i-1].Parent != e.Parent {
+			if started[e.Parent] {
+				return fmt.Errorf("trace: event %d: children of event %d are not contiguous", i, e.Parent-1)
+			}
+			if started == nil {
+				started = make(map[int32]bool)
+			}
+			started[e.Parent] = true
+		}
 	}
 	return nil
+}
+
+// completesAt reports whether event p is a read completing at cycle c.
+func (t *Trace) completesAt(p int, c int64) bool {
+	return p >= 0 && t.Events[p].Kind == ReadAccept && t.Events[p].DoneAt == c
 }
 
 // writeCacheStats serializes cache.Stats in fixed field order. The

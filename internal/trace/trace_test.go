@@ -39,6 +39,9 @@ func mkTrace() *Trace {
 			{Kind: WriteAccept, Clock: 4, Line: 200, Stream: 0, Data: data, DoneAt: 30},
 			{Kind: Promote, Clock: 9, Line: 100},
 			{Kind: ReadAccept, Clock: 9, Line: 300, Stream: 1, Demand: false, DoneAt: 44},
+			// Two writebacks enqueued inside event 0's completion.
+			{Kind: WriteAccept, Clock: 17, Line: 400, Stream: 0, Data: data, DoneAt: 25, Parent: 1},
+			{Kind: WriteAccept, Clock: 17, Line: 500, Stream: 0, Data: data, DoneAt: 26, Parent: 1},
 		},
 	}
 }
@@ -138,11 +141,19 @@ func TestTraceStructuralValidation(t *testing.T) {
 		{"unknown kind", func(tr *Trace) { tr.Events[2].Kind = 9 }, "unknown kind"},
 		{"clock regression", func(tr *Trace) { tr.Events[3].Clock = 3 }, "acceptance order"},
 		{"negative clock", func(tr *Trace) { tr.Events[0].Clock = -1 }, "acceptance order"},
-		{"clock beyond horizon", func(tr *Trace) { tr.Events[3].Clock = 51; tr.Events[3].DoneAt = 52 }, "outside"},
+		{"clock beyond horizon", func(tr *Trace) { tr.Events[5].Clock = 51; tr.Events[5].DoneAt = 52 }, "outside"},
 		{"done before accept", func(tr *Trace) { tr.Events[1].DoneAt = 4 }, "done at"},
 		{"done beyond horizon", func(tr *Trace) { tr.Events[1].DoneAt = 51 }, "done at"},
 		{"loop counters", func(tr *Trace) { tr.EventsFired = 60 }, "loop counters"},
 		{"empty run", func(tr *Trace) { tr.DRAMCycles = 0; tr.Events = nil }, "at least one"},
+		{"parent after child", func(tr *Trace) { tr.Events[4].Parent = 6 }, "not an earlier read"},
+		{"negative parent", func(tr *Trace) { tr.Events[4].Parent = -3 }, "not an earlier read"},
+		{"parent not a read", func(tr *Trace) { tr.Events[4].Parent = 2 }, "not an earlier read"},
+		{"parent completes elsewhere", func(tr *Trace) { tr.Events[0].DoneAt = 16 }, "completing then"},
+		{"children split", func(tr *Trace) {
+			tr.Events[5].Parent = 0
+			tr.Events = append(tr.Events, Event{Kind: WriteAccept, Clock: 17, Line: 600, DoneAt: 27, Parent: 1})
+		}, "not contiguous"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
