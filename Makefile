@@ -55,13 +55,15 @@ cover:
 	           if (pct < 90) { print "internal/trace coverage is below the 90% floor"; exit 1 } }' cover.out
 
 # Short fuzz passes over the codec round-trip, corrupted-decode, kernel
-# equivalence, and trace-container properties; CI-sized, not exhaustive.
+# equivalence, trace-container, and scheduler-versus-reference
+# properties; CI-sized, not exhaustive.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCorrupted -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzDecodeDims -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzKernelEquivalence -fuzztime=30s ./internal/code/
 	$(GO) test -run=NONE -fuzz=FuzzTraceRoundTrip -fuzztime=30s ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzScheduleMatchesReference -fuzztime=30s ./internal/memctrl/
 
 # Machine-readable sweep + codec timings (BENCH_sweep.json), the replay
 # fast-path benchmark with allocation counts (BenchmarkReplay must stay

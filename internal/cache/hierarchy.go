@@ -139,6 +139,10 @@ type Hierarchy struct {
 	// resumes at re-parks it in its own Tick.
 	parked   bool
 	parkedAt uint64
+	// mshrFreeVer counts fills, the only events that free an MSHR (see
+	// MSHRFreeVersion). Not serialized: only its movement matters, and
+	// the processor re-derives its parked versions on restore.
+	mshrFreeVer uint64
 
 	stats Stats
 
@@ -460,6 +464,24 @@ func (h *Hierarchy) Parked() bool {
 	return h.parked && h.port.AdmissionVersion() == h.parkedAt
 }
 
+// MSHRFreeVersion moves whenever an MSHR is freed, that is on every fill.
+// While it stands still, an access AccessTagged refused with Retry stays
+// refused, and repeating it changes nothing but the L1 and L2 miss
+// counters (ChargeRefused): no MSHR can be allocated or merged into (the
+// refused line had none, and new entries need a free one), and the line
+// can reach the core's L1, the L2, or the writeback queue only through a
+// fill (while the L2 is inclusive, an L2 hit's L1 victim never needs the
+// writeback queue).
+func (h *Hierarchy) MSHRFreeVersion() uint64 { return h.mshrFreeVer }
+
+// ChargeRefused accounts n repeats of an access by core that AccessTagged
+// refused with Retry, at an unchanged MSHRFreeVersion, without re-running
+// it: each repeat would miss the core's L1 and the L2.
+func (h *Hierarchy) ChargeRefused(core int, n int64) {
+	h.l1[core].Misses += n
+	h.l2.Misses += n
+}
+
 // fill handles a line arriving from memory.
 func (h *Hierarchy) fill(line int64) {
 	e, ok := h.mshr[line]
@@ -468,6 +490,7 @@ func (h *Hierarchy) fill(line int64) {
 	}
 	delete(h.mshr, line)
 	h.parked = false
+	h.mshrFreeVer++
 
 	h.installL2(line)
 	if !e.demand {

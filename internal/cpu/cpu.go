@@ -90,9 +90,22 @@ type thread struct {
 	readyAt  int64
 	blocked  bool // waiting on a fill (or a full miss window)
 	finished bool
-	pending  *Op // op rejected with Retry, to reissue
-	inflight int // outstanding load misses (OoO)
-	doneAt   int64
+	// pending is an op the hierarchy refused with Retry (MSHRs full), to
+	// reissue; hasPending marks it live. parkedAt is the hierarchy's
+	// MSHR-free version at the refusal: until the version moves, the
+	// reissue would be refused again (see Processor.Tick).
+	pending    Op
+	hasPending bool
+	parkedAt   uint64
+	inflight   int // outstanding load misses (OoO)
+	doneAt     int64
+	loadDone   func() // the thread's fill callback, built once
+}
+
+// parked reports whether the thread's pending op is provably refused
+// again this cycle: the MSHRs that refused it are all still allocated.
+func (t *thread) parked(h *cache.Hierarchy) bool {
+	return t.hasPending && t.parkedAt == h.MSHRFreeVersion()
 }
 
 // Processor drives all threads against the hierarchy.
@@ -116,6 +129,10 @@ type Processor struct {
 	// the counter without the processor present. Not serialized in
 	// snapshots: trace recording and resume are mutually exclusive.
 	blocks int64
+	// spinParked, when attached via SetObs, counts the MSHR-full retries
+	// charged without re-running the access (parked threads). Nil is a
+	// no-op.
+	spinParked *obs.Counter
 }
 
 // ThreadBlocks reports the number of transitions into the blocked state.
@@ -128,6 +145,7 @@ func (p *Processor) SetObs(o *obs.Obs) {
 		return
 	}
 	p.threadBlocks = o.Counter("cpu_thread_blocks_total")
+	p.spinParked = o.Counter("cpu_spin_parked_cycles_total")
 }
 
 // NewProcessor builds a processor whose thread i runs streams[i]. The
@@ -144,7 +162,9 @@ func NewProcessor(cfg Config, hier *cache.Hierarchy, streams []Stream) (*Process
 	}
 	p := &Processor{cfg: cfg, hier: hier, ticked: -1}
 	for i, s := range streams {
-		p.threads = append(p.threads, &thread{core: i / cfg.ThreadsPerCore, stream: s})
+		t := &thread{core: i / cfg.ThreadsPerCore, stream: s}
+		t.loadDone = p.loadDone(t)
+		p.threads = append(p.threads, t)
 	}
 	return p, nil
 }
@@ -170,12 +190,13 @@ func (p *Processor) FinishTimes() []int64 {
 
 // NextWake returns a lower bound on the next CPU cycle at which a thread
 // can step (the internal/sched contract): the earliest readyAt over
-// runnable threads. Blocked threads wake via cache fills, which happen on
-// cycles the event loop lands on anyway; finished threads never wake.
+// runnable threads. Blocked and parked threads wake via cache fills,
+// which happen on cycles the event loop lands on anyway; finished threads
+// never wake.
 func (p *Processor) NextWake(now int64) int64 {
 	w := sched.Never
 	for _, t := range p.threads {
-		if t.finished || t.blocked {
+		if t.finished || t.blocked || t.parked(p.hier) {
 			continue
 		}
 		if t.readyAt <= now {
@@ -186,47 +207,61 @@ func (p *Processor) NextWake(now int64) int64 {
 	return w
 }
 
-// SkipTo charges the stall cycles the skipped window (ticked, now) would
-// have accumulated: one per blocked unfinished thread per skipped cycle.
-// It must run before the cycle's fills unblock threads - in the per-cycle
-// loop those threads were still blocked throughout the window.
+// SkipTo charges what the skipped window (ticked, now) would have
+// accumulated: one stall cycle per blocked unfinished thread and one
+// refused retry per parked thread, per skipped cycle. It must run before
+// the cycle's fills unblock or unpark threads - in the per-cycle loop
+// those threads were still blocked or refused throughout the window.
 func (p *Processor) SkipTo(now int64) {
 	n := now - p.ticked - 1
 	if n <= 0 {
 		return
 	}
 	for _, t := range p.threads {
-		if !t.finished && t.blocked {
+		switch {
+		case t.finished:
+		case t.blocked:
 			p.StallTics += n
+		case t.parked(p.hier):
+			p.spin(t, n)
 		}
 	}
 }
 
-// Tick advances every thread one CPU cycle.
+// Tick advances every thread one CPU cycle. A parked thread's retry is
+// charged without re-running the access: while the hierarchy's MSHR-free
+// version stands still, no MSHR has been freed, so the access would be
+// refused again, and a refused access only counts an L1 and an L2 miss
+// (cache.Hierarchy.ChargeRefused).
 func (p *Processor) Tick(now int64) {
 	p.now = now
 	p.ticked = now
 	for i, t := range p.threads {
-		if t.finished {
-			continue
-		}
-		if t.blocked {
+		switch {
+		case t.finished:
+		case t.blocked:
 			p.StallTics++
-			continue
+		case t.readyAt > now:
+		case t.parked(p.hier):
+			p.spin(t, 1)
+		default:
+			p.step(i, t, now)
 		}
-		if t.readyAt > now {
-			continue
-		}
-		p.step(i, t, now)
 	}
+}
+
+// spin charges n refused retries of a parked thread's pending op.
+func (p *Processor) spin(t *thread, n int64) {
+	p.hier.ChargeRefused(t.core, n)
+	p.spinParked.Add(n)
 }
 
 // step executes (or retries) one operation for thread ti.
 func (p *Processor) step(ti int, t *thread, now int64) {
 	var op Op
-	if t.pending != nil {
-		op = *t.pending
-		t.pending = nil
+	if t.hasPending {
+		op = t.pending
+		t.hasPending = false
 	} else {
 		var ok bool
 		op, ok = t.stream.Next()
@@ -250,7 +285,7 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 	case OpLoad:
 		// The thread index tags the waiter so a snapshot can re-link the
 		// loadDone closure on restore (see cache.AccessTagged).
-		res, lat := p.hier.AccessTagged(t.core, op.Addr, false, ti, p.loadDone(t))
+		res, lat := p.hier.AccessTagged(t.core, op.Addr, false, ti, t.loadDone)
 		switch res {
 		case cache.Hit:
 			t.readyAt = now + lat
@@ -274,8 +309,7 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 				p.threadBlocks.Inc()
 			}
 		case cache.Retry:
-			t.pending = &op
-			t.readyAt = now + 1
+			p.refused(t, op, now)
 		}
 
 	case OpStore:
@@ -291,8 +325,7 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 			p.Retired++
 			p.StoreOps++
 		case cache.Retry:
-			t.pending = &op
-			t.readyAt = now + 1
+			p.refused(t, op, now)
 		}
 
 	default:
@@ -300,9 +333,17 @@ func (p *Processor) step(ti int, t *thread, now int64) {
 	}
 }
 
-// LoadDoneFor rebuilds the fill callback for hardware thread ti, for
+// refused parks an op the hierarchy refused with Retry, to reissue once
+// the MSHR-free version moves.
+func (p *Processor) refused(t *thread, op Op, now int64) {
+	t.pending, t.hasPending = op, true
+	t.parkedAt = p.hier.MSHRFreeVersion()
+	t.readyAt = now + 1
+}
+
+// LoadDoneFor returns the fill callback of hardware thread ti, for
 // re-linking MSHR waiters when restoring a snapshot.
-func (p *Processor) LoadDoneFor(ti int) func() { return p.loadDone(p.threads[ti]) }
+func (p *Processor) LoadDoneFor(ti int) func() { return p.threads[ti].loadDone }
 
 // loadDone builds the fill callback for a thread's load miss.
 func (p *Processor) loadDone(t *thread) func() {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mil/internal/cache"
+	"mil/internal/sched"
 )
 
 // listStream replays a fixed op list.
@@ -277,5 +278,84 @@ func TestL1HitLatencyApplied(t *testing.T) {
 	}
 	if p.LoadOps != 2 {
 		t.Fatalf("loads = %d", p.LoadOps)
+	}
+}
+
+// loopStream issues one op forever.
+type loopStream struct{ op Op }
+
+func (s *loopStream) Next() (Op, bool) { return s.op, true }
+
+// TestTickZeroAllocOnL1Hits pins the processor's per-op path at zero heap
+// allocations: a load that hits the L1 must not move its op to the heap
+// or build a fill callback.
+func TestTickZeroAllocOnL1Hits(t *testing.T) {
+	port := newCtrlPort()
+	h := smallHier(t, port, 1)
+	p, err := NewProcessor(Config{Cores: 1, ThreadsPerCore: 1, IssueWidth: 1}, h,
+		[]Stream{&loopStream{op: Op{Kind: OpLoad, Addr: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Tick(0)
+	port.complete(1) // the first load misses; every later one hits
+	now := int64(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Tick(now)
+		now++
+	})
+	if allocs != 0 {
+		t.Fatalf("Processor.Tick on an L1-hit stream: %.1f allocs/op, want 0", allocs)
+	}
+	if p.LoadOps < 100 {
+		t.Fatalf("only %d loads ran; the stream did not hit", p.LoadOps)
+	}
+}
+
+// TestParkedRetryChargesMissesUntilFill: a load refused because every MSHR
+// is allocated parks its thread. The thread leaves the wake bound, each
+// landed or skipped cycle charges exactly the L1 and L2 miss a retry would
+// have counted, and the first fill (which frees an MSHR) reissues it.
+func TestParkedRetryChargesMissesUntilFill(t *testing.T) {
+	port := newCtrlPort()
+	h := smallHier(t, port, 1) // 8 MSHRs
+	ops := make([]Op, 0, 9)
+	for i := int64(0); i < 9; i++ {
+		ops = append(ops, Op{Kind: OpLoad, Addr: 64 * 100 * (i + 1)})
+	}
+	p, err := NewProcessor(Config{Cores: 1, ThreadsPerCore: 1, IssueWidth: 1, OutOfOrder: true, MaxOutstanding: 16}, h,
+		[]Stream{&listStream{ops: ops}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(0)
+	for ; now < 9; now++ {
+		p.Tick(now) // eight misses fill the MSHRs; the ninth load is refused
+	}
+	th := p.threads[0]
+	if !th.parked(h) || port.reads != 8 {
+		t.Fatalf("after 8 misses: parked %v, %d reads", th.parked(h), port.reads)
+	}
+	if w := p.NextWake(now - 1); w != sched.Never {
+		t.Fatalf("NextWake = %d with the only thread parked, want Never", w)
+	}
+	before := h.Stats()
+	p.Tick(now) // a landed cycle
+	p.SkipTo(now + 10)
+	p.Tick(now + 10)
+	after := h.Stats()
+	if d1, d2 := after.L1Misses-before.L1Misses, after.L2Misses-before.L2Misses; d1 != 11 || d2 != 11 {
+		t.Fatalf("11 parked cycles charged %d L1 and %d L2 misses, want 11 each", d1, d2)
+	}
+	port.complete(64 * 100 / 64)
+	if th.parked(h) {
+		t.Fatal("a fill left the thread parked")
+	}
+	if w := p.NextWake(now + 10); w != now+11 {
+		t.Fatalf("NextWake after the fill = %d, want %d", w, now+11)
+	}
+	p.Tick(now + 11)
+	if th.hasPending || port.reads != 9 {
+		t.Fatalf("the refused load was not reissued after the fill (pending %v, %d reads)", th.hasPending, port.reads)
 	}
 }

@@ -9,7 +9,12 @@ import (
 // Snapshot serializes the processor's timing state and per-thread
 // contexts. Thread streams are serialized by their own package (they hold
 // the workload RNG state); the processor records everything else a thread
-// carries, including any Retry-parked pending op.
+// carries, including any Retry-parked pending op. A thread's parked
+// version is not serialized: checkpoints are taken between landed
+// cycles, where every pending op was refused at the hierarchy's current
+// MSHR-free version (a fill moves it only inside a memory tick, and the
+// processor Tick that follows on the same cycle reissues the op), so
+// Restore re-derives it.
 func (p *Processor) Snapshot(w *snap.Writer) {
 	w.I64(p.now)
 	w.I64(p.ticked)
@@ -22,8 +27,8 @@ func (p *Processor) Snapshot(w *snap.Writer) {
 		w.I64(t.readyAt)
 		w.Bool(t.blocked)
 		w.Bool(t.finished)
-		w.Bool(t.pending != nil)
-		if t.pending != nil {
+		w.Bool(t.hasPending)
+		if t.hasPending {
 			w.Int(int(t.pending.Kind))
 			w.I64(t.pending.N)
 			w.I64(t.pending.Addr)
@@ -52,9 +57,10 @@ func (p *Processor) Restore(r *snap.Reader) error {
 		t.readyAt = r.I64()
 		t.blocked = r.Bool()
 		t.finished = r.Bool()
-		t.pending = nil
-		if r.Bool() {
-			t.pending = &Op{Kind: OpKind(r.Int()), N: r.I64(), Addr: r.I64()}
+		t.pending, t.hasPending = Op{}, r.Bool()
+		if t.hasPending {
+			t.pending = Op{Kind: OpKind(r.Int()), N: r.I64(), Addr: r.I64()}
+			t.parkedAt = p.hier.MSHRFreeVersion()
 		}
 		t.inflight = r.Int()
 		t.doneAt = r.I64()

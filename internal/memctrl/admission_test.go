@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"slices"
 	"testing"
 
 	"mil/internal/code"
@@ -109,29 +110,77 @@ func (c *Controller) countPrefetches() int {
 	return n
 }
 
-// TestRefusedEnqueueKeepsWakeMemo: a refused Enqueue changes nothing, so
-// it must not throw away a memoized wake scan.
-func TestRefusedEnqueueKeepsWakeMemo(t *testing.T) {
+// TestRefusedEnqueueLeavesSchedulerState: a refused Enqueue changes
+// nothing - no age stamp, bank-index entry, or rank count - so the wake
+// bound it leaves is the one before it.
+func TestRefusedEnqueueLeavesSchedulerState(t *testing.T) {
 	c := testController(t)
 	fillPrefetchShare(t, c)
 	const now = 0
-	c.wake, c.wakeValid = 500, true // as a memoized NextWake scan leaves it
-	if c.Enqueue(admissionReq(t, 99_000, false, false), now) {
+	seq, wake, queued := c.seq, c.NextWake(), slices.Clone(c.rankQueued)
+	refused := admissionReq(t, 99_000, false, false)
+	if c.Enqueue(refused, now) {
 		t.Fatal("prefetch admitted past the share cap")
 	}
-	if !c.wakeValid {
-		t.Fatal("a refused Enqueue dropped the wake memo")
+	if c.seq != seq || !slices.Equal(c.rankQueued, queued) || c.NextWake() != wake {
+		t.Fatal("a refused Enqueue changed the scheduler state")
 	}
+	checkIndex(t, c)
 	if !c.Enqueue(admissionReq(t, 99_000, false, true), now) {
 		t.Fatal("demand read refused")
 	}
-	if c.wakeValid {
-		t.Fatal("an admitted Enqueue kept the wake memo")
+	if c.seq == seq || slices.Equal(c.rankQueued, queued) {
+		t.Fatal("an admitted Enqueue left the age stamp or rank count alone")
+	}
+	checkIndex(t, c)
+}
+
+// checkIndex requires the bank index, the age stamps, and the per-rank
+// counts to describe exactly the queue slices.
+func checkIndex(t *testing.T, c *Controller) {
+	t.Helper()
+	ranks := make([]int, len(c.rankQueued))
+	for _, qu := range []struct {
+		reqs  []*Request
+		idx   *bankQueues
+		write bool
+	}{{c.rq, &c.rqIdx, false}, {c.wq, &c.wqIdx, true}} {
+		var walked []*Request
+		for b := range qu.idx.lists {
+			busy := qu.idx.busy[b>>6]>>(b&63)&1 == 1
+			if busy != (len(qu.idx.lists[b][0])+len(qu.idx.lists[b][1]) > 0) {
+				t.Fatalf("bank %d busy bit %v disagrees with its lists", b, busy)
+			}
+			for k, list := range qu.idx.lists[b] {
+				for i, r := range list {
+					if int(r.bank) != b || (!qu.write && readClass(r) != k) || (qu.write && k != 0) {
+						t.Fatalf("bank %d class %d list holds line %d of bank %d", b, k, r.Line, r.bank)
+					}
+					if i > 0 && list[i-1].seq >= r.seq {
+						t.Fatalf("bank %d class %d list out of age order", b, k)
+					}
+					walked = append(walked, r)
+				}
+			}
+		}
+		if len(walked) != len(qu.reqs) {
+			t.Fatalf("index holds %d requests, queue %d", len(walked), len(qu.reqs))
+		}
+		for i, r := range qu.reqs {
+			if i > 0 && qu.reqs[i-1].seq >= r.seq {
+				t.Fatalf("queue out of age-stamp order at %d", i)
+			}
+			ranks[r.loc.Rank]++
+		}
+	}
+	if !slices.Equal(ranks, c.rankQueued) {
+		t.Fatalf("per-rank queued counts %v, queues hold %v", c.rankQueued, ranks)
 	}
 }
 
 // TestRestoreRebuildsAdmissionState: the prefetch count, the queued-read
-// flags, and the bank indices are derived state, rebuilt by Restore.
+// flags, the bank indices, and the per-bank queue index are derived
+// state, rebuilt by Restore.
 func TestRestoreRebuildsAdmissionState(t *testing.T) {
 	c := testController(t)
 	for i := int64(0); i < 5; i++ {
@@ -164,6 +213,10 @@ func TestRestoreRebuildsAdmissionState(t *testing.T) {
 	if r.wq[0].bank != c.wq[0].bank {
 		t.Fatalf("restored wq[0] bank %d, want %d", r.wq[0].bank, c.wq[0].bank)
 	}
+	checkIndex(t, r)
+	if !slices.Equal(r.rankQueued, c.rankQueued) {
+		t.Fatalf("restored per-rank counts %v, want %v", r.rankQueued, c.rankQueued)
+	}
 	refused := admissionReq(t, 99_000, false, false)
 	if r.Enqueue(refused, 0) {
 		t.Fatal("restored controller admitted a prefetch past the share cap")
@@ -176,6 +229,7 @@ func TestRestoreRebuildsAdmissionState(t *testing.T) {
 	if !r.Enqueue(refused, 0) {
 		t.Fatal("restored controller refused a prefetch after a promotion freed the share")
 	}
+	checkIndex(t, r)
 }
 
 // TestSystemPromoteRoutesThroughController: System.Promote must keep the

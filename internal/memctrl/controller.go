@@ -165,18 +165,31 @@ type Controller struct {
 	deferred    []inflightRead     // forwarded/coalesced completions, fired on a later tick
 	activeBurst []dram.BurstWindow // windows not yet past, for busy classification
 
-	stats     *Stats
-	now       int64
-	started   bool
-	acted     bool    // last Tick did observable work (event-core fast path)
-	idleRun   int     // consecutive no-op Ticks since the last acting one
-	wake      int64   // memoized NextWake scan result ...
-	wakeValid bool    // ... valid until an accepted enqueue, a promote, or an acting Tick
-	banksTmp  []int64 // scratch per-pass per-bank visited stamps
-	bankStamp int64   // current stamp; bumped once per pass
-	casTmp    []int64 // scratch per-pass per-bank "row-hit CAS not ready" stamps
-	casStamp  int64   // current stamp; bumped once per ready-hit pass
-	id        int     // channel index, for trace output
+	stats   *Stats
+	now     int64
+	started bool
+	id      int // channel index, for trace output
+
+	// rqIdx and wqIdx index the queues by bank (see bankQueues); seq
+	// stamps each admitted request with its age. rankQueued counts the
+	// queued reads and writes per rank, for the power-down machine. All
+	// are derived from the queues: Restore rebuilds them.
+	rqIdx, wqIdx bankQueues
+	seq          uint64
+	rankQueued   []int
+	// hitCands and workCands are pick's per-class scratch: each bank's
+	// oldest eligible row hit and its claimant's PRE/ACT.
+	hitCands, workCands [2][]choice
+	// schedVer counts changes to what the scheduler reads: the queues,
+	// device timing, rank refresh and power-down state, retry backoff.
+	// schedNext is the scheduler term of the last NextWake, taken at
+	// version schedNextVer: no candidate can issue before it, so while the
+	// version stands still schedule skips pick before it, and NextWake
+	// reuses it when it was exact (schedNextExact). Reuse never changes a
+	// command or a wake, only the work done to find them.
+	schedVer, schedNextVer uint64
+	schedNext              int64
+	schedNextExact         bool
 
 	// prefetches counts the non-demand reads in rq, so the prefetch-share
 	// admission check is O(1). Enqueue, dequeueRead, and Promote keep it
@@ -263,8 +276,9 @@ func NewController(cfg Config, mem Memory, policy Policy, phy Phy) (*Controller,
 		refPending: make([]bool, cfg.DRAM.Geometry.Ranks),
 		pd:         make([]rankPD, cfg.DRAM.Geometry.Ranks),
 		stats:      NewStats(),
-		banksTmp:   make([]int64, banks),
-		casTmp:     make([]int64, banks),
+		rqIdx:      newBankQueues(banks),
+		wqIdx:      newBankQueues(banks),
+		rankQueued: make([]int, cfg.DRAM.Geometry.Ranks),
 		// Queues and in-flight tracking are preallocated to their
 		// steady-state bounds so the tick path (and the replay driver
 		// built on it) never grows them mid-run.
@@ -317,7 +331,6 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 			if w.Line == req.Line {
 				w.Data = req.Data // coalesce
 				c.deferred = append(c.deferred, inflightRead{req: req, done: now + 1})
-				c.wakeValid = false
 				return true
 			}
 		}
@@ -325,9 +338,9 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 			return false
 		}
 		req.Arrive = now
-		req.bank = int32(c.bankIndex(req))
+		c.admit(req)
 		c.wq = append(c.wq, req)
-		c.wakeValid = false
+		c.wqIdx.push(req, 0)
 		c.admitVer++ // a refused read of this line can now forward
 		if c.obs != nil {
 			c.obs.wqPeak.Max(int64(len(c.wq)))
@@ -341,7 +354,6 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 			// completion inside Enqueue would fire the caller's callback
 			// before the caller has even recorded the request as pending.
 			c.deferred = append(c.deferred, inflightRead{req: req, done: now + 1})
-			c.wakeValid = false
 			return true
 		}
 	}
@@ -354,13 +366,13 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 		return false
 	}
 	req.Arrive = now
-	req.bank = int32(c.bankIndex(req))
+	c.admit(req)
 	req.queued = true
 	if !req.Demand {
 		c.prefetches++
 	}
 	c.rq = append(c.rq, req)
-	c.wakeValid = false
+	c.rqIdx.push(req, readClass(req))
 	if c.obs != nil {
 		c.obs.rqPeak.Max(int64(len(c.rq)))
 	}
@@ -369,20 +381,24 @@ func (c *Controller) Enqueue(req *Request, now int64) bool {
 
 // Promote raises a read to demand priority. For a read waiting in this
 // controller's queue it frees a prefetch-share slot, so the admission
-// version moves, and it can change the scheduler's bank shadowing, so
-// the wake memo is dropped. Reads already issued (or never admitted)
-// only change their own flag. Callers must not write Request.Demand
-// directly once the request has been offered to Enqueue.
+// version moves, and the read moves to its bank's demand list. Reads
+// already issued (or never admitted) only change their own flag. Callers
+// must not write Request.Demand directly once the request has been
+// offered to Enqueue.
 func (c *Controller) Promote(req *Request) {
 	if req.Demand {
 		return
 	}
-	req.Demand = true
 	if req.queued {
+		c.rqIdx.remove(req, 1)
+		req.Demand = true
+		c.rqIdx.insert(req, 0)
+		c.schedVer++
 		c.prefetches--
 		c.admitVer++
-		c.wakeValid = false
+		return
 	}
+	req.Demand = true
 }
 
 // AdmissionVersion counts the events after which a previously refused
@@ -393,9 +409,19 @@ func (c *Controller) Promote(req *Request) {
 func (c *Controller) AdmissionVersion() uint64 { return c.admitVer }
 
 // bankIndex names the request's bank in the flat per-channel tables (the
-// device's OpenRowAt and the scheduler's per-bank stamps).
+// device's OpenRowAt and the scheduler's bank index).
 func (c *Controller) bankIndex(req *Request) int {
 	return c.cfg.DRAM.Geometry.BankIndex(req.loc.Rank, req.loc.Group, req.loc.Bank)
+}
+
+// admit stamps a request joining a queue with its bank and age, and
+// counts it against its rank.
+func (c *Controller) admit(req *Request) {
+	c.schedVer++
+	req.bank = int32(c.bankIndex(req))
+	c.seq++
+	req.seq = c.seq
+	c.rankQueued[req.loc.Rank]++
 }
 
 // dequeueRead removes rq[idx] (issued or abandoned).
@@ -405,14 +431,41 @@ func (c *Controller) dequeueRead(idx int) {
 	if !req.Demand {
 		c.prefetches--
 	}
+	c.rqIdx.remove(req, readClass(req))
+	c.rankQueued[req.loc.Rank]--
+	c.schedVer++
 	c.rq = removeAt(c.rq, idx)
 	c.admitVer++
 }
 
 // dequeueWrite removes wq[idx] (written or abandoned).
 func (c *Controller) dequeueWrite(idx int) {
+	req := c.wq[idx]
+	c.wqIdx.remove(req, 0)
+	c.rankQueued[req.loc.Rank]--
+	c.schedVer++
 	c.wq = removeAt(c.wq, idx)
 	c.admitVer++
+}
+
+// issueCmd issues a command to the device.
+func (c *Controller) issueCmd(cmd dram.Command, now int64) dram.BurstInfo {
+	c.schedVer++
+	return c.ch.Issue(cmd, now)
+}
+
+// queuePos returns req's position in queue, which is in seq order.
+func queuePos(queue []*Request, req *Request) int {
+	lo, hi := 0, len(queue)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if queue[m].seq < req.seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Tick advances the controller one DRAM cycle: completes arrived reads,
@@ -425,36 +478,24 @@ func (c *Controller) Tick(now int64) {
 	c.now = now
 	c.started = true
 
-	acted := c.completeReads(now)
+	c.completeReads(now)
 
 	for r := range c.refDue {
 		if now >= c.refDue[r] && !c.refPending[r] {
 			c.refPending[r] = true
-			acted = true
+			c.schedVer++
 		}
 	}
 	issued := false
 	if c.cfg.PowerDown.Enable {
+		c.schedVer++ // the power-down machine moves rank state freely
 		issued = c.powerDownTick(now)
 	}
 	if !issued {
 		issued = c.tryRefresh(now)
 	}
 	if !issued {
-		issued = c.schedule(now)
-	}
-	c.acted = acted || issued
-	// A no-op tick (nothing completed, flipped, or issued) leaves every
-	// wake term unchanged, so a memoized scan stays valid across it. The
-	// power-down machine mutates state without reporting, so its runs
-	// always invalidate.
-	if c.acted {
-		c.idleRun = 0
-	} else {
-		c.idleRun++
-	}
-	if c.acted || c.cfg.PowerDown.Enable {
-		c.wakeValid = false
+		c.schedule(now)
 	}
 
 	c.classify(now)
@@ -465,8 +506,7 @@ func (c *Controller) Tick(now int64) {
 
 // completeReads retires reads whose data has fully arrived, plus deferred
 // forwarding/coalescing completions.
-func (c *Controller) completeReads(now int64) bool {
-	completed := false
+func (c *Controller) completeReads(now int64) {
 	kept := c.inflight[:0]
 	for _, f := range c.inflight {
 		if f.done <= now {
@@ -477,7 +517,6 @@ func (c *Controller) completeReads(now int64) bool {
 				c.stats.DemandReadsCompleted++
 			}
 			c.fireDone(f.req, now)
-			completed = true
 		} else {
 			kept = append(kept, f)
 		}
@@ -492,14 +531,12 @@ func (c *Controller) completeReads(now int64) bool {
 		f := c.deferred[i]
 		if f.done <= now {
 			c.fireDone(f.req, now)
-			completed = true
 			continue
 		}
 		c.deferred[n] = f
 		n++
 	}
 	c.deferred = c.deferred[:n]
-	return completed
 }
 
 // blockedRanks returns the mask of ranks new activity should avoid this
@@ -523,16 +560,9 @@ func (c *Controller) blockedRanks() uint32 {
 // issued a command this cycle.
 func (c *Controller) powerDownTick(now int64) bool {
 	g := c.cfg.DRAM.Geometry
-	var needed uint32
-	for _, req := range c.rq {
-		needed |= 1 << req.loc.Rank
-	}
-	for _, req := range c.wq {
-		needed |= 1 << req.loc.Rank
-	}
 	for r := range c.pd {
 		pd := &c.pd[r]
-		want := needed>>r&1 == 1 || c.refPending[r]
+		want := c.rankQueued[r] > 0 || c.refPending[r]
 		if pd.down {
 			c.stats.PowerDownCycles++
 			if want {
@@ -567,7 +597,7 @@ func (c *Controller) powerDownTick(now int64) bool {
 				}
 				cmd := dram.Command{Kind: dram.PRE, Rank: r, Group: bg, Bank: b}
 				if c.ch.EarliestIssue(cmd, now) == now {
-					c.ch.Issue(cmd, now)
+					c.issueCmd(cmd, now)
 					c.traceCmd(now, cmd, "powerdown")
 					c.stats.Precharges++
 					return true
@@ -605,7 +635,7 @@ func (c *Controller) tryRefresh(now int64) bool {
 				allClosed = false
 				cmd := dram.Command{Kind: dram.PRE, Rank: r, Group: bg, Bank: b}
 				if c.ch.EarliestIssue(cmd, now) == now {
-					c.ch.Issue(cmd, now)
+					c.issueCmd(cmd, now)
 					c.traceCmd(now, cmd, "refresh-drain")
 					c.stats.Precharges++
 					return true
@@ -615,7 +645,7 @@ func (c *Controller) tryRefresh(now int64) bool {
 		if allClosed {
 			cmd := dram.Command{Kind: dram.REF, Rank: r}
 			if c.ch.EarliestIssue(cmd, now) == now {
-				c.ch.Issue(cmd, now)
+				c.issueCmd(cmd, now)
 				c.traceCmd(now, cmd, "")
 				c.stats.Refreshes++
 				c.refPending[r] = false
@@ -630,157 +660,196 @@ func (c *Controller) tryRefresh(now int64) bool {
 // schedule runs FR-FCFS over the active queue and issues at most one
 // command; it reports whether anything was issued.
 func (c *Controller) schedule(now int64) bool {
-	// Write-drain mode transitions (Section 4.6, Table 2 watermarks).
-	if len(c.wq) >= c.cfg.DrainHigh {
-		c.writeMode = true
-	} else if c.writeMode && len(c.wq) <= c.cfg.DrainLow {
-		c.writeMode = false
-	}
-	active, write := c.rq, false
-	if c.writeMode || (len(c.rq) == 0 && len(c.wq) > 0) {
-		active, write = c.wq, true
-	}
-	if len(active) == 0 {
+	write := c.drainMode()
+	if (write && len(c.wq) == 0) || (!write && len(c.rq) == 0) {
 		return false
 	}
-
-	// One ready-hit scan serves every column pass below: nothing is issued
-	// between the passes, so device state and the scan's answers stand.
-	blocked := c.blockedRanks()
-	demandHit, prefetchHit := c.readyHits(active, write, now, blocked)
-	if write {
-		// Writes form a single class: the oldest ready hit of either.
-		if hit := oldestOf(demandHit, prefetchHit); hit >= 0 {
-			c.issueColumn(active[hit], hit, true, now)
-			return true
-		}
-		return c.fcfsPass(active, now, blocked, keepAll)
+	if c.schedNextVer == c.schedVer && now < c.schedNext {
+		return false // no candidate can issue yet (see schedVer)
 	}
-	// Demand reads outrank prefetches. Normally prefetch row hits may still
-	// slip in ahead of demand ACT/PRE work (they keep the streams timely),
-	// but once any demand has aged past the escalation threshold, demand
-	// bank work preempts them - otherwise an endless supply of ready
-	// prefetch hits can starve the misses cores are actually blocked on.
-	demandFirst := false
-	for _, r := range active {
-		if r.Demand {
-			demandFirst = now-r.Arrive > demandEscalationAge
-			break
-		}
-	}
-	if demandHit >= 0 {
-		c.issueColumn(active[demandHit], demandHit, false, now)
-		return true
-	}
-	if demandFirst && c.fcfsPass(active, now, blocked, keepDemand) {
-		return true
-	}
-	if prefetchHit >= 0 {
-		c.issueColumn(active[prefetchHit], prefetchHit, false, now)
-		return true
-	}
-	if !demandFirst && c.fcfsPass(active, now, blocked, keepDemand) {
-		return true
-	}
-	return c.fcfsPass(active, now, blocked, keepPrefetch)
+	return c.issue(c.pick(write, now), write, now)
 }
 
-// candidate filters for the scheduler passes; a small enum instead of a
-// predicate closure keeps the per-request check branch-predictable and
-// inlineable on the hottest loops in the simulator.
-const (
-	keepAll = iota
-	keepDemand
-	keepPrefetch
-)
-
-// skipReq reports whether a pass with the given filter ignores req.
-func skipReq(keep int, req *Request) bool {
-	return (keep == keepDemand && !req.Demand) || (keep == keepPrefetch && req.Demand)
+// drainMode applies the write-drain transitions and reports whether the
+// write queue is the active one.
+func (c *Controller) drainMode() bool {
+	var write bool
+	c.writeMode, write = c.drainState()
+	return write
 }
 
-// readyHits scans active oldest-first for requests whose column command
-// could issue right now (rank not in blocked, row open, constraints met),
-// and returns the oldest such demand request and the oldest such
-// prefetch, -1 for none. The scan stops at the first ready demand hit:
-// nothing younger outranks it, and the prefetch it reports is then only
-// meaningful as "older".
+// drainState returns the write-drain mode after this cycle's transition
+// (Section 4.6, Table 2 watermarks) and whether the write queue is then
+// the active one. With frozen queue depths the mode settles after one
+// transition.
+func (c *Controller) drainState() (mode, write bool) {
+	mode = c.writeMode
+	if len(c.wq) >= c.cfg.DrainHigh {
+		mode = true
+	} else if mode && len(c.wq) <= c.cfg.DrainLow {
+		mode = false
+	}
+	return mode, mode || (len(c.rq) == 0 && len(c.wq) > 0)
+}
+
+// choice is one cycle's scheduling decision: the command kind (a column
+// command, PRE, or ACT) and the request it serves. A nil req issues
+// nothing.
+type choice struct {
+	req  *Request
+	kind dram.Kind
+}
+
+// pick chooses the cycle's command by FR-FCFS over the active queue,
+// visiting each non-empty bank once. A visit collects, per class, the
+// bank's oldest eligible row hit and its claimant: the class's oldest
+// request claims the bank before its own eligibility is checked, so a
+// younger conflict cannot close a row an older request still needs.
+// Ranks in blockedRanks issue nothing and requests backing off
+// (retryAt) are ineligible. Device timing is probed only afterwards, in
+// age order, until a candidate is ready: one CAS or PRE/ACT probe per
+// candidate bank at most.
 //
-// Every row hit in one bank builds the identical CAS probe, and no other
-// request to that bank is a hit, so once a bank's probe is not ready the
-// rest of the bank's requests are skipped.
-func (c *Controller) readyHits(active []*Request, write bool, now int64, blocked uint32) (demand, prefetch int) {
-	prefetch = -1
-	c.casStamp++
-	for i, req := range active {
-		if prefetch >= 0 && !req.Demand {
-			continue // an older prefetch hit already stands
-		}
-		if req.retryAt > now || blocked>>req.loc.Rank&1 != 0 || c.casTmp[req.bank] == c.casStamp {
-			continue
-		}
-		if row, open := c.ch.OpenRowAt(int(req.bank)); !open || row != req.loc.Row {
-			continue
-		}
-		if c.ch.EarliestIssue(c.probeCAS(req, write), now) != now {
-			c.casTmp[req.bank] = c.casStamp
-			continue
-		}
-		if req.Demand {
-			return i, prefetch
-		}
-		prefetch = i
+// Demand reads outrank prefetches. Normally prefetch row hits may still
+// slip in ahead of demand ACT/PRE work (they keep the streams timely),
+// but once the oldest demand read has aged past demandEscalationAge,
+// demand bank work preempts them - otherwise an endless supply of ready
+// prefetch hits can starve the misses cores are actually blocked on.
+// Writes form a single class. Within each step the oldest request wins.
+func (c *Controller) pick(write bool, now int64) choice {
+	q := &c.rqIdx
+	col := dram.RD
+	if write {
+		q, col = &c.wqIdx, dram.WR
 	}
-	return -1, prefetch
-}
-
-// oldestOf returns the smaller of two queue indices, ignoring -1.
-func oldestOf(a, b int) int {
-	if a < 0 || (b >= 0 && b < a) {
-		return b
+	blocked := c.blockedRanks()
+	hits, work := &c.hitCands, &c.workCands
+	for k := range hits {
+		hits[k], work[k] = hits[k][:0], work[k][:0]
 	}
-	return a
-}
-
-// fcfsPass walks oldest-first issuing the ACT or PRE the request needs, at
-// most one action per bank so a younger conflict cannot close a row an
-// older request still needs. Ranks in blocked are skipped.
-func (c *Controller) fcfsPass(active []*Request, now int64, blocked uint32, keep int) bool {
-	c.bankStamp++
-	for _, req := range active {
-		if skipReq(keep, req) {
+	var oldestDemand *Request
+	examined := 0
+	for b := q.nextBank(0); b >= 0; b = q.nextBank(b + 1) {
+		lists := &q.lists[b]
+		heads, n := q.heads(b)
+		examined += n
+		rep := heads[0]
+		if rep == nil {
+			rep = heads[1]
+		} else if !write && (oldestDemand == nil || rep.seq < oldestDemand.seq) {
+			oldestDemand = rep
+		}
+		if blocked>>rep.loc.Rank&1 != 0 {
 			continue
 		}
-		if c.banksTmp[req.bank] == c.bankStamp {
-			continue
+		row, open := c.ch.OpenRowAt(b)
+		kind := dram.ACT
+		if open {
+			kind = dram.PRE
 		}
-		c.banksTmp[req.bank] = c.bankStamp
-		if req.retryAt > now || blocked>>req.loc.Rank&1 != 0 {
-			continue
-		}
-		row, open := c.ch.OpenRowAt(int(req.bank))
-		switch {
-		case open && row == req.loc.Row:
-			// A hit that was not ready in the first pass; nothing to do.
-		case open:
-			cmd := dram.Command{Kind: dram.PRE, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank}
-			if c.ch.EarliestIssue(cmd, now) == now {
-				c.ch.Issue(cmd, now)
-				c.traceCmd(now, cmd, "")
-				c.stats.Precharges++
-				return true
+		for k, h := range heads {
+			if h == nil {
+				continue
 			}
-		default:
-			cmd := dram.Command{Kind: dram.ACT, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank, Row: req.loc.Row}
-			if c.ch.EarliestIssue(cmd, now) == now {
-				c.ch.Issue(cmd, now)
-				c.traceCmd(now, cmd, "")
-				c.stats.Activates++
-				return true
+			if !open || h.loc.Row != row {
+				if h.retryAt <= now {
+					work[k] = append(work[k], choice{h, kind})
+				}
+				if !open {
+					continue
+				}
+			}
+			for i, r := range lists[k] {
+				if i > 0 {
+					examined++
+				}
+				if r.loc.Row == row && r.retryAt <= now {
+					hits[k] = append(hits[k], choice{r, col})
+					break
+				}
 			}
 		}
 	}
-	return false
+	if c.obs != nil {
+		c.obs.schedExamined.Add(int64(examined))
+	}
+	if d := c.oldestReady(hits[0], now); d.req != nil {
+		return d
+	}
+	demandFirst := oldestDemand != nil && now-oldestDemand.Arrive > demandEscalationAge
+	if demandFirst {
+		if d := c.oldestReady(work[0], now); d.req != nil {
+			return d
+		}
+	}
+	if d := c.oldestReady(hits[1], now); d.req != nil {
+		return d
+	}
+	if !demandFirst {
+		if d := c.oldestReady(work[0], now); d.req != nil {
+			return d
+		}
+	}
+	return c.oldestReady(work[1], now)
+}
+
+// oldestReady probes cands oldest first and returns the first whose
+// command can issue now (the zero choice if none can). It reorders cands.
+func (c *Controller) oldestReady(cands []choice, now int64) choice {
+	for len(cands) > 0 {
+		o := 0
+		for i := range cands {
+			if cands[i].req.seq < cands[o].req.seq {
+				o = i
+			}
+		}
+		d := cands[o]
+		if c.ch.EarliestIssue(c.bankCmd(d.req, d.kind, d.req.loc.Row), now) == now {
+			return d
+		}
+		cands[o] = cands[len(cands)-1]
+		cands = cands[:len(cands)-1]
+	}
+	return choice{}
+}
+
+// issue carries out a scheduling decision, reporting whether it issued.
+func (c *Controller) issue(d choice, write bool, now int64) bool {
+	req := d.req
+	if req == nil {
+		return false
+	}
+	switch d.kind {
+	case dram.RD, dram.WR:
+		active := c.rq
+		if write {
+			active = c.wq
+		}
+		c.issueColumn(req, queuePos(active, req), write, now)
+		return true
+	}
+	cmd := c.bankCmd(req, d.kind, req.loc.Row)
+	c.issueCmd(cmd, now)
+	c.traceCmd(now, cmd, "")
+	if d.kind == dram.PRE {
+		c.stats.Precharges++
+	} else {
+		c.stats.Activates++
+	}
+	return true
+}
+
+// bankCmd builds a kind command to req's bank: PRE and ACT as issued,
+// RD and WR as the baseline-shaped readiness probe for row.
+func (c *Controller) bankCmd(req *Request, kind dram.Kind, row int) dram.Command {
+	cmd := dram.Command{Kind: kind, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank}
+	switch kind {
+	case dram.ACT:
+		cmd.Row = row
+	case dram.RD, dram.WR:
+		cmd.Row, cmd.Beats = row, 8
+	}
+	return cmd
 }
 
 // probeCAS builds the baseline-shaped column command used for readiness
@@ -791,10 +860,7 @@ func (c *Controller) probeCAS(req *Request, write bool) dram.Command {
 	if write {
 		kind = dram.WR
 	}
-	return dram.Command{
-		Kind: kind, Rank: req.loc.Rank, Group: req.loc.Group,
-		Bank: req.loc.Bank, Row: req.loc.Row, Beats: 8,
-	}
+	return c.bankCmd(req, kind, req.loc.Row)
 }
 
 // lookahead implements Lookahead over the controller's live queue state.
@@ -900,7 +966,7 @@ func (c *Controller) issueColumn(req *Request, idx int, write bool, now int64) {
 		Kind: kind, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank,
 		Row: req.loc.Row, Beats: codec.Beats() + extraBeats, ExtraCAS: codec.ExtraLatency(),
 	}
-	info := c.ch.Issue(cmd, now)
+	info := c.issueCmd(cmd, now)
 
 	blk := &c.colBlk
 	if write {

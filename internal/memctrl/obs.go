@@ -26,9 +26,10 @@ type ctrlObs struct {
 	retryExhausted *obs.Counter
 	pdEntries      *obs.Counter
 	pdExits        *obs.Counter
-	wakeFastpath   *obs.Counter
-	wakeMemoized   *obs.Counter
-	wakeFullScan   *obs.Counter
+	// schedExamined counts the queued requests the scheduler's bank
+	// visits read, in pick and in NextWake's scheduler term together: a
+	// host-independent measure of the work behind each landed cycle.
+	schedExamined *obs.Counter
 	// policyEpochs counts epoch-feedback deliveries. Created only for
 	// controllers whose policy observes epochs (see SetObs) so the
 	// metrics CSV of every pre-existing scheme stays byte-identical;
@@ -51,9 +52,7 @@ func newCtrlObs(o *obs.Obs) *ctrlObs {
 		retryExhausted: o.Counter("retry_exhausted_total"),
 		pdEntries:      o.Counter("powerdown_entries_total"),
 		pdExits:        o.Counter("powerdown_exits_total"),
-		wakeFastpath:   o.Counter("wake_scan_fastpath_total"),
-		wakeMemoized:   o.Counter("wake_scan_memoized_total"),
-		wakeFullScan:   o.Counter("wake_scan_full_total"),
+		schedExamined:  o.Counter("memctrl_sched_examined_total"),
 	}
 }
 

@@ -18,16 +18,19 @@ type Request struct {
 	// the only Tag user (replay) cannot combine with checkpointing.
 	Tag    int
 	loc    Location
-	mapped bool  // loc computed (requests are re-enqueued on backpressure)
-	queued bool  // waiting in a controller's read queue (see Controller.Promote)
-	bank   int32 // loc's flat bank index, set when a queue admits the request
-
-	retries int   // failed link transfers replayed so far
-	retryAt int64 // ineligible for scheduling before this cycle (backoff)
-
+	mapped bool // loc computed (requests are re-enqueued on backpressure)
+	queued bool // waiting in a controller's read queue (see Controller.Promote)
 	// needDone marks a snapshot-restored request whose OnDone callback has
 	// not been re-linked yet (closures cannot be serialized).
 	needDone bool
+	bank     int32 // loc's flat bank index, set when a queue admits the request
+	// seq is the admission stamp a queue gives the request: queue order
+	// is seq order, so it compares ages across the per-bank lists (see
+	// bankQueues).
+	seq uint64
+
+	retries int   // failed link transfers replayed so far
+	retryAt int64 // ineligible for scheduling before this cycle (backoff)
 }
 
 // Retries returns how many times this request's burst was replayed after a

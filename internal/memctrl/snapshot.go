@@ -257,13 +257,12 @@ func (p *BIWirePhy) Restore(r *snap.Reader) error {
 
 // Snapshot serializes one controller: queues and in-flight transfers (each
 // request appears exactly once across rq/wq/inflight/deferred), the
-// refresh and power-down machines, scheduler mode, statistics, the wake
-// memo (a fresh post-restore scan could land on different cycles and
-// change the loop statistics), the device timing state, and the phy. The
-// scheduler scratch (banksTmp/bankStamp, casTmp/casStamp) is excluded:
-// every pass starts by bumping its stamp, so zeroed scratch is
-// equivalent. So is the state derived from the queues (the prefetch
-// count, the queued flags, the bank indices), which Restore rebuilds.
+// refresh and power-down machines, scheduler mode, statistics, the
+// scheduler-term cache, the device timing state, and the phy. The state
+// derived from the queues (the
+// prefetch count, the queued flags, the bank indices, the per-bank queue
+// index with its age stamps, the per-rank queued counts) is excluded:
+// Restore rebuilds it.
 func (c *Controller) Snapshot(w *snap.Writer) {
 	snapQueue := func(reqs []*Request) {
 		w.Len(len(reqs))
@@ -302,10 +301,12 @@ func (c *Controller) Snapshot(w *snap.Writer) {
 	c.stats.Snapshot(w)
 	w.I64(c.now)
 	w.Bool(c.started)
-	w.Bool(c.acted)
-	w.Int(c.idleRun)
-	w.I64(c.wake)
-	w.Bool(c.wakeValid)
+	// The scheduler-term cache decides which cycles run pick and
+	// scheduleWake, so the work counters of a resumed run match only if
+	// it crosses the checkpoint too.
+	w.Bool(c.schedNextVer == c.schedVer)
+	w.I64(c.schedNext)
+	w.Bool(c.schedNextExact)
 	w.Int(c.consecFail)
 	w.Bool(c.inStorm)
 	// Per-epoch feedback progress, present exactly when the policy
@@ -357,18 +358,24 @@ func (c *Controller) Restore(r *snap.Reader) error {
 	}
 	c.rq = restoreQueue()
 	c.wq = restoreQueue()
-	// The queued flags, bank indices, and prefetch count are derived
-	// from the queues.
-	c.prefetches = 0
+	// The queued flags, bank indices, age stamps, bank index, per-rank
+	// counts, and prefetch count are derived from the queues.
+	c.prefetches, c.seq = 0, 0
+	c.schedVer++
+	clear(c.rankQueued)
+	c.rqIdx.clear()
+	c.wqIdx.clear()
 	for _, req := range c.rq {
+		c.admit(req)
 		req.queued = true
-		req.bank = int32(c.bankIndex(req))
 		if !req.Demand {
 			c.prefetches++
 		}
+		c.rqIdx.push(req, readClass(req))
 	}
 	for _, req := range c.wq {
-		req.bank = int32(c.bankIndex(req))
+		c.admit(req)
+		c.wqIdx.push(req, 0)
 	}
 	c.writeMode = r.Bool()
 	refDue := r.I64s()
@@ -419,10 +426,12 @@ func (c *Controller) Restore(r *snap.Reader) error {
 	}
 	c.now = r.I64()
 	c.started = r.Bool()
-	c.acted = r.Bool()
-	c.idleRun = r.Int()
-	c.wake = r.I64()
-	c.wakeValid = r.Bool()
+	valid := r.Bool()
+	c.schedNext, c.schedNextExact = r.I64(), r.Bool()
+	c.schedNextVer = c.schedVer
+	if !valid {
+		c.schedNextVer--
+	}
 	c.consecFail = r.Int()
 	c.inStorm = r.Bool()
 	if c.epoch.obs != nil {
@@ -437,11 +446,6 @@ func (c *Controller) Restore(r *snap.Reader) error {
 	if c.obs != nil {
 		c.obs.inIdle, c.obs.idleStart = inIdle, idleStart
 	}
-	for i := range c.banksTmp {
-		c.banksTmp[i] = 0
-		c.casTmp[i] = 0
-	}
-	c.bankStamp, c.casStamp = 0, 0
 	if err := c.ch.Restore(r); err != nil {
 		return err
 	}

@@ -21,35 +21,10 @@ import (
 // caught by the steplock differential tests.
 
 // NextWake returns a lower bound on the earliest cycle > now at which the
-// controller's state can change without new enqueues.
-//
-// Fast path: while the controller is actively working or merely pausing
-// inside a short DRAM timing gap (tCCD, tRCD, turnarounds — all well under
-// wakeScanAfter cycles), return now+1 without the scans below — an early
-// wake is a cheap no-op Tick by contract, no worse than the steplock loop.
-// Only after wakeScanAfter consecutive no-op Ticks is the controller
-// plausibly entering a stretch long enough (refresh intervals, power-down
-// idling, drained queues) for the O(queues×banks) wake computation to buy
-// back more than it costs; the scan result is memoized across the no-op
-// Ticks that follow it.
-const wakeScanAfter = 16
-
+// controller's state can change without new enqueues. Every term is
+// computed in full on every call: the per-bank queue index (bankQueues)
+// makes the scheduler term one visit per non-empty bank.
 func (c *Controller) NextWake() int64 {
-	if c.acted || c.idleRun < wakeScanAfter {
-		if c.obs != nil {
-			c.obs.wakeFastpath.Inc()
-		}
-		return c.now + 1
-	}
-	if c.wakeValid && c.wake > c.now {
-		if c.obs != nil {
-			c.obs.wakeMemoized.Inc()
-		}
-		return c.wake
-	}
-	if c.obs != nil {
-		c.obs.wakeFullScan.Inc()
-	}
 	w := sched.Never
 	for i := range c.inflight {
 		w = min(w, c.inflight[i].done)
@@ -66,12 +41,23 @@ func (c *Controller) NextWake() int64 {
 		w = min(w, c.powerDownWake())
 	}
 	w = min(w, c.refreshWake())
-	w = min(w, c.scheduleWake())
-	if w <= c.now {
-		w = c.now + 1
+	if w > c.now+1 {
+		w = min(w, c.schedulerTerm(w))
 	}
-	c.wake, c.wakeValid = w, true
-	return w
+	return max(w, c.now+1)
+}
+
+// schedulerTerm returns scheduleWake(limit), reusing the last result while
+// schedVer stands still. A result below its limit is the exact scheduler
+// bound max(now+1, raw), where raw - the minimum over the candidates of
+// their constraint, backoff and rank wake-up - does not depend on now.
+func (c *Controller) schedulerTerm(limit int64) int64 {
+	if c.schedNextVer == c.schedVer && c.schedNextExact {
+		return min(limit, max(c.now+1, c.schedNext))
+	}
+	s := c.scheduleWake(limit)
+	c.schedNext, c.schedNextVer, c.schedNextExact = s, c.schedVer, s < limit
+	return s
 }
 
 // powerDownWake bounds the power-down state machine's next action. Ranks
@@ -82,17 +68,10 @@ func (c *Controller) NextWake() int64 {
 // cycle until it finishes powering down - skipping there would starve the
 // later ranks of their per-cycle accounting.
 func (c *Controller) powerDownWake() int64 {
-	var needed uint32
-	for _, req := range c.rq {
-		needed |= 1 << req.loc.Rank
-	}
-	for _, req := range c.wq {
-		needed |= 1 << req.loc.Rank
-	}
 	w := sched.Never
 	for r := range c.pd {
 		pd := &c.pd[r]
-		want := needed>>r&1 == 1 || c.refPending[r]
+		want := c.rankQueued[r] > 0 || c.refPending[r]
 		if pd.down {
 			// A down rank sleeps until want flips (an enqueue or the refresh
 			// falling due, both of which land the loop); once wanted, the
@@ -152,91 +131,88 @@ func (c *Controller) refreshWake() int64 {
 }
 
 // scheduleWake bounds the FR-FCFS scheduler: the earliest cycle any
-// candidate command (ready column hit, or the per-bank PRE/ACT the oldest
-// request needs) meets its constraints. Pass order (demand escalation)
-// only selects among ready candidates, so the minimum over the candidate
-// union is a valid bound for every ordering.
-func (c *Controller) scheduleWake() int64 {
-	// Replay the write-drain hysteresis to its fixed point: with frozen
-	// queue depths the mode settles after one evaluation, so the stored
-	// writeMode being stale during a skip window is unobservable.
-	wm := c.writeMode
-	if len(c.wq) >= c.cfg.DrainHigh {
-		wm = true
-	} else if wm && len(c.wq) <= c.cfg.DrainLow {
-		wm = false
-	}
-	active, write := c.rq, false
-	if wm || (len(c.rq) == 0 && len(c.wq) > 0) {
-		active, write = c.wq, true
-	}
-	if len(active) == 0 {
-		return sched.Never
-	}
-
-	w := sched.Never
-	// Column candidates: every request whose row is open (readyHits claims
-	// no banks; it only skips banks whose probe is not ready this cycle).
-	for _, req := range active {
-		row, open := c.ch.OpenRowAt(int(req.bank))
-		if !open || row != req.loc.Row {
-			continue
-		}
-		if from, ok := c.reqEligible(req); ok {
-			w = min(w, c.ch.EarliestIssue(c.probeCAS(req, write), from))
-		}
-	}
-	// Bank-work candidates, mirroring fcfsPass's per-pass shadowing: the
-	// demand and prefetch passes each shadow banks independently.
+// candidate command meets its constraints, or limit if none does sooner.
+// The candidates are a column command to every queued row hit and the
+// PRE/ACT each bank's per-class claimant needs (pick's bank shadowing),
+// each gated by retry backoff and rank wake-up; ranks draining for
+// refresh or powered down are frozen for the whole window. Demand
+// escalation only selects among ready candidates, so the minimum over
+// them bounds every ordering.
+//
+// dram.Channel.EarliestIssue is max(from, constraint), with a constraint
+// that depends only on the command's bank and kind, so one probe per
+// bank and command kind at the smallest eligible from equals the minimum
+// over the bank's requests. A candidate's bound is never below its
+// eligible from, so the walk stops once the bound reaches now+1, and a
+// bank is probed only when one of its candidates could beat the bound so
+// far.
+func (c *Controller) scheduleWake(limit int64) int64 {
+	// The write-drain mode the next Tick settles in holds for the whole
+	// window, so the stored writeMode being stale during a skip is
+	// unobservable.
+	q := &c.rqIdx
+	_, write := c.drainState()
 	if write {
-		w = min(w, c.fcfsWake(active, keepAll))
-	} else {
-		w = min(w, c.fcfsWake(active, keepDemand))
-		w = min(w, c.fcfsWake(active, keepPrefetch))
+		q = &c.wqIdx
 	}
-	return w
-}
-
-// reqEligible returns the first cycle > now the request may be scheduled
-// (retry backoff and rank wake-up), or ok=false when its rank is frozen
-// for the whole window (refresh drain or power-down).
-func (c *Controller) reqEligible(req *Request) (int64, bool) {
-	pd := &c.pd[req.loc.Rank]
-	if c.refPending[req.loc.Rank] || pd.down {
-		return 0, false
+	col := dram.RD
+	if write {
+		col = dram.WR
 	}
-	return max(c.now+1, req.retryAt, pd.wakeAt), true
-}
-
-// fcfsWake walks the queue oldest-first with fcfsPass's bank shadowing
-// (the first request per bank claims it before eligibility checks) and
-// bounds the earliest PRE/ACT issue among the claimants.
-func (c *Controller) fcfsWake(active []*Request, keep int) int64 {
-	c.bankStamp++
-	w := sched.Never
-	for _, req := range active {
-		if skipReq(keep, req) {
+	w, floor := limit, c.now+1
+	examined := 0
+	for b := q.nextBank(0); b >= 0 && w > floor; b = q.nextBank(b + 1) {
+		heads, n := q.heads(b)
+		examined += n
+		rep := heads[0]
+		if rep == nil {
+			rep = heads[1]
+		}
+		pd := &c.pd[rep.loc.Rank]
+		if c.refPending[rep.loc.Rank] || pd.down {
 			continue
 		}
-		if c.banksTmp[req.bank] == c.bankStamp {
+		base := max(floor, pd.wakeAt)
+		if base >= w {
 			continue
 		}
-		c.banksTmp[req.bank] = c.bankStamp
-		from, ok := c.reqEligible(req)
-		if !ok {
+		row, open := c.ch.OpenRowAt(b)
+		work := sched.Never
+		for _, h := range heads {
+			if h != nil && (!open || h.loc.Row != row) {
+				work = min(work, max(base, h.retryAt))
+			}
+		}
+		if work < w {
+			kind := dram.ACT
+			if open {
+				kind = dram.PRE
+			}
+			w = min(w, c.ch.EarliestIssue(c.bankCmd(rep, kind, rep.loc.Row), work))
+		}
+		if !open || base >= w {
 			continue
 		}
-		row, open := c.ch.OpenRowAt(int(req.bank))
-		switch {
-		case open && row == req.loc.Row:
-			// Ready hit: covered by the column-candidate scan.
-		case open:
-			cmd := dram.Command{Kind: dram.PRE, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank}
-			w = min(w, c.ch.EarliestIssue(cmd, from))
-		default:
-			cmd := dram.Command{Kind: dram.ACT, Rank: req.loc.Rank, Group: req.loc.Group, Bank: req.loc.Bank, Row: req.loc.Row}
-			w = min(w, c.ch.EarliestIssue(cmd, from))
+		hit := sched.Never
+	scan:
+		for _, list := range q.lists[b] {
+			for i, r := range list {
+				if i > 0 {
+					examined++
+				}
+				if r.loc.Row == row {
+					if hit = min(hit, max(base, r.retryAt)); hit == base {
+						break scan
+					}
+				}
+			}
 		}
+		if hit < w {
+			w = min(w, c.ch.EarliestIssue(c.bankCmd(rep, col, row), hit))
+		}
+	}
+	if c.obs != nil {
+		c.obs.schedExamined.Add(int64(examined))
 	}
 	return w
 }

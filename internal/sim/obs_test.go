@@ -112,7 +112,10 @@ func TestIdleWindowReconciliation(t *testing.T) {
 // TestObsMetricsLoopModeAgnostic runs the same cell under both loop modes
 // and requires identical metric snapshots, minus the counters that are
 // definitionally mode-specific: the steplock loop never consults NextWake
-// and lands every cycle, so wake_scan_* and loop_* differ by design.
+// and lands every cycle, so the scheduler work it drives
+// (memctrl_sched_examined_total) and loop_* differ by design. Parked
+// MSHR-full spins are charged by the same Tick skip in both loops, so
+// cpu_spin_parked_cycles_total must match.
 func TestObsMetricsLoopModeAgnostic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double run is slow")
@@ -126,7 +129,7 @@ func TestObsMetricsLoopModeAgnostic(t *testing.T) {
 	filter := func(s string) string {
 		var keep []string
 		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, ",wake_scan_") || strings.Contains(line, ",loop_") {
+			if strings.Contains(line, ",memctrl_sched_examined_") || strings.Contains(line, ",loop_") {
 				continue
 			}
 			keep = append(keep, line)

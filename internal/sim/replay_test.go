@@ -169,9 +169,11 @@ func TestReplayOfWritesIsExact(t *testing.T) {
 
 // TestReplayMetricsCSV holds the observability side of the replay contract:
 // a replayed cell with a metrics registry attached must produce the same
-// snapshot as a fully simulated one, except the wake_scan_* counters — the
-// replay driver consults NextWake on its own cadence, exactly like the two
-// loop modes differ from each other (TestObsMetricsLoopModeAgnostic). The
+// snapshot as a fully simulated one, except two front-end work counters:
+// memctrl_sched_examined_total, because the replay driver consults
+// NextWake on its own cadence, exactly like the two loop modes differ
+// from each other (TestObsMetricsLoopModeAgnostic), and
+// cpu_spin_parked_cycles_total, because a replay runs no processor. The
 // loop_* counters must match exactly: a replayed Result reports the
 // recorded loop.
 func TestReplayMetricsCSV(t *testing.T) {
@@ -188,7 +190,7 @@ func TestReplayMetricsCSV(t *testing.T) {
 	filter := func(s string) string {
 		var keep []string
 		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, ",wake_scan_") {
+			if strings.Contains(line, ",memctrl_sched_examined_") || strings.Contains(line, ",cpu_spin_parked_") {
 				continue
 			}
 			keep = append(keep, line)

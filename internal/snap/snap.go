@@ -33,7 +33,7 @@ import (
 // Version is the snapshot format version. Bump it on ANY change to what any
 // component serializes or the order it serializes it in; resume rejects
 // mismatches.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // magic identifies a snapshot file (8 bytes).
 var magic = [8]byte{'M', 'I', 'L', 'S', 'N', 'A', 'P', 0}
